@@ -7,11 +7,8 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
-
-echo "==> cargo test -p fpga-lint -q (linter self-tests incl. adversarial gate)"
-cargo test -p fpga-lint -q
+echo "==> cargo test --workspace -q (every crate, linter self-tests and adversarial gate included)"
+cargo test --workspace -q
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
@@ -155,8 +152,5 @@ fi
 
 echo "==> snapshot bench smoke (release, BENCH_QUICK)"
 BENCH_QUICK=1 cargo bench -p bench --bench snapshot
-
-echo "==> scheduler bench smoke (release, BENCH_QUICK)"
-BENCH_QUICK=1 cargo bench -p bench --bench sched
 
 echo "==> ci.sh: all green"

@@ -1,10 +1,10 @@
 //! Per-worker snapshot cost: `Graph::clone` versus epoch-tagged
 //! `GraphOverlay::bind` + `reset`.
 //!
-//! The speculative batched engine used to hand every worker a full
-//! `Graph::clone` of the pass snapshot at the top of each wave; the
-//! overlay engine binds a [`GraphOverlay`] over the shared snapshot
-//! instead and resets it per net with a generation bump. This bench
+//! PathFinder's route-phase workers each need a private view of the
+//! priced snapshot. A full `Graph::clone` per worker per iteration costs
+//! O(|V| + |E|); a [`GraphOverlay`] bound over the shared snapshot costs
+//! O(touched) and resets per net with a generation bump. This bench
 //! times both mechanisms doing identical work — take a private view of
 //! a routing-scale device graph, apply a bounded set of weight
 //! mutations (what one net's masking/unmasking touches), observe a
@@ -34,8 +34,8 @@ fn main() {
     let nodes = snapshot.live_node_count();
     let edge_total = snapshot.edge_count();
 
-    // A deterministic spread of edges standing in for the reads/writes
-    // one speculative net performs against its view.
+    // A deterministic spread of edges standing in for the writes one
+    // net's routing performs against its view.
     let stride = (edge_total / touched).max(1);
     let edges: Vec<EdgeId> = (0..edge_total)
         .step_by(stride)

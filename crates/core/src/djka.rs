@@ -55,8 +55,8 @@ impl<G: GraphView> SteinerHeuristic<G> for Djka {
         net.validate_in(g)?;
         // Stop the run once the last sink settles: every node on a shortest
         // path to a sink settles before that sink, so the extracted paths
-        // are identical to a full run's while the read set stays bounded
-        // by the sinks' neighborhood.
+        // are identical to a full run's while the search stays within
+        // the sinks' neighborhood.
         let sp = ShortestPaths::run_to_targets(g, net.source(), net.sinks())?;
         let mut edges: Vec<EdgeId> = Vec::new();
         for &sink in net.sinks() {

@@ -25,7 +25,7 @@ pub trait HeuristicInfo {
 /// The graph parameter defaults to [`Graph`], so `dyn SteinerHeuristic`
 /// and existing `impl SteinerHeuristic for …` blocks keep working. The
 /// paper's core constructions implement this for every [`GraphView`],
-/// which lets the parallel router drive them through
+/// which lets PathFinder's route-phase workers drive them through
 /// [`GraphOverlay`](route_graph::GraphOverlay) snapshots without cloning.
 pub trait SteinerHeuristic<G: GraphView = Graph>: HeuristicInfo {
     /// Constructs a routing tree for `net` in `g`.
@@ -37,7 +37,8 @@ pub trait SteinerHeuristic<G: GraphView = Graph>: HeuristicInfo {
     fn construct(&self, g: &G, net: &Net) -> Result<RoutingTree, SteinerError>;
 }
 
-/// Graph-independent identity and read-set contract of an iterated base.
+/// Graph-independent identity and distance-restriction contract of an
+/// iterated base.
 ///
 /// Split off from [`IteratedBase`] for the same reason as
 /// [`HeuristicInfo`]: the iterated template needs the base's name and its

@@ -153,8 +153,7 @@ impl<H: IteratedBaseInfo> Iterated<H> {
         // within `terminals ∪ pool`, each Dijkstra can stop once that set
         // is settled: accepted Steiner points come from the pool, so
         // every future member-pair query hits a settled node. Results
-        // are bit-identical to full runs; only the flooded area shrinks
-        // (and with it the speculative read set under parallel routing).
+        // are bit-identical to full runs; only the flooded area shrinks.
         let mut td = match &self.config.pool {
             CandidatePool::Explicit(nodes)
                 if self.base.supports_target_restricted_distances() =>

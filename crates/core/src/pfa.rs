@@ -66,8 +66,8 @@ impl Pfa {
     ///
     /// With [`CandidatePool::Explicit`], merge points are drawn from
     /// `terminals ∪ pool` only, every distance query lands inside that set,
-    /// and the construction runs off target-restricted Dijkstra with a
-    /// bounded read set; other pool kinds behave like [`Pfa::new`].
+    /// and the construction runs off target-restricted Dijkstra that stops
+    /// near the net; other pool kinds behave like [`Pfa::new`].
     #[must_use]
     pub fn with_pool(pool: CandidatePool) -> Pfa {
         Pfa { pool }

@@ -60,8 +60,8 @@ impl Zel {
     ///
     /// With [`CandidatePool::Explicit`], every distance query lands on
     /// `terminals ∪ pool`, so the construction can run off
-    /// target-restricted Dijkstra and records a bounded read set; other
-    /// pool kinds behave like [`Zel::new`].
+    /// target-restricted Dijkstra that stops near the net; other pool
+    /// kinds behave like [`Zel::new`].
     #[must_use]
     pub fn with_pool(pool: CandidatePool) -> Zel {
         Zel { pool }

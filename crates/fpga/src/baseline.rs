@@ -125,10 +125,6 @@ impl<'d> BaselineRouter<'d> {
                 // overlap itself (same signal) — but no optimization steers
                 // the route toward sharing; that is exactly the structural
                 // handicap versus the Steiner router.
-                // No readset waiver needed: the baseline maze router is
-                // sequential-only and outside the hot-path cone, so the
-                // call-graph-scoped readset rule proves this call never
-                // runs under speculation.
                 let sp = match ShortestPaths::run_to_targets(&g, source, &[sink]) {
                     Ok(sp) => sp,
                     Err(GraphError::NodeRemoved(_)) | Err(GraphError::NodeOutOfBounds(_)) => {

@@ -16,19 +16,17 @@
 //!   Tables 2 and 3;
 //! * [`Router`] — the paper's router: whole-net Steiner/arborescence
 //!   constructions, congestion-updated weights, resource removal for
-//!   electrical disjointness, move-to-front ordering, pass budget;
-//! * [`sched`] — the default parallel engine: dependency-DAG wavefront
-//!   scheduling with work-stealing deques and commit/speculation
-//!   overlap, bit-for-bit identical to sequential;
-//! * [`parallel`] — the lockstep batch engine
-//!   (`RouterConfig::scheduler`), kept as baseline and fallback;
+//!   electrical disjointness, move-to-front ordering, pass budget. Rip-up
+//!   routes one net at a time, exactly as the paper does;
 //! * [`pathfinder`] — negotiated congestion (`RouterConfig::mode`):
 //!   route every net each iteration against an immutable priced
-//!   snapshot, then reprice under present + history costs — fully
-//!   parallel with no speculation, bit-identical across thread counts;
+//!   snapshot, then reprice under present + history costs. The route
+//!   phase splits across `RouterConfig::threads` workers and stays
+//!   bit-identical across thread counts;
 //! * [`BaselineRouter`] — the two-pin-decomposition stand-in for
 //!   CGE/SEGA/GBP;
-//! * [`width`] — minimum channel-width search;
+//! * [`width`] — minimum channel-width search, optionally probing several
+//!   widths concurrently;
 //! * [`viz`] — ASCII/SVG renderings (paper Figure 16).
 //!
 //! ```no_run
@@ -57,10 +55,8 @@ pub mod classify;
 pub mod device;
 mod error;
 pub mod netlist;
-pub mod parallel;
 pub mod pathfinder;
 pub mod router;
-pub mod sched;
 pub mod synth;
 pub mod telemetry;
 pub mod three_d;
@@ -74,7 +70,6 @@ pub use error::FpgaError;
 pub use netlist::{BlockPin, Circuit, CircuitNet};
 pub use router::{
     auto_thread_count, RouteAlgorithm, RouteMode, RouteOutcome, Router, RouterConfig,
-    SchedulerKind,
 };
 pub use telemetry::{CongestionSnapshot, PassTelemetry, RouteTelemetry};
 pub use synth::CircuitProfile;

@@ -2,8 +2,8 @@
 //! negotiate.
 //!
 //! The rip-up router serializes on net order: each net routes against a
-//! graph the previous net just mutated, so parallel engines must
-//! speculate and repair. Negotiated congestion inverts the discipline.
+//! graph the previous net just mutated, so it routes one net at a time.
+//! Negotiated congestion inverts the discipline.
 //! Each **iteration**:
 //!
 //! 1. **Route phase (fully parallel)** — every net is routed
@@ -21,8 +21,8 @@
 //!    removed, so nets may overlap; because each net's route is a pure
 //!    function of the snapshot, its own previous tree, the single-writer
 //!    claim table, and its own index, the phase splits across workers
-//!    with no conflict DAG, no speculation, and bit-identical results
-//!    for any thread count or partition. Workers reuse the epoch-tagged
+//!    with no ordering between them and bit-identical results for any
+//!    thread count or partition. Workers reuse the epoch-tagged
 //!    [`GraphOverlay`] arenas (one bind per worker per iteration, O(1)
 //!    reset) so the snapshot is never cloned.
 //! 2. **Cost-update phase (single-writer)** — one thread tallies how many
@@ -64,16 +64,15 @@
 //! writer sweep, before the iteration's increments. Dirty-set
 //! membership, the reroute order, and the delta node set are all
 //! functions of the priced snapshot alone, so selective mode stays
-//! bit-identical across thread counts and schedulers.
+//! bit-identical across thread counts.
 //!
 //! The single-writer claim is structural: `route_negotiated` owns the
 //! priced [`Graph`] by value; during the route phase workers hold only
 //! `&`-borrows of it (the borrow checker forbids repricing while any
 //! worker is alive), and the repricing sweep runs after the scoped join,
 //! on the owning thread. `fpga_lint`'s commit-path-mutation rule pins
-//! [`reprice_edges`] and [`reprice_incident_edges`] calls to this module
-//! the same way it pins `SharedPassWriter` to the scheduler commit
-//! paths.
+//! [`reprice_edges`] and [`reprice_incident_edges`] calls to this
+//! module.
 //!
 //! All pricing arithmetic saturates at `Weight::MAX` (see
 //! [`NegotiatedPricing`]): history accumulates monotonically for the
@@ -242,9 +241,8 @@ impl<G: GraphViewMut> GraphViewMut for Tilted<'_, G> {
 /// Routes `circuit` by negotiated congestion ([`RouteMode::Pathfinder`]).
 ///
 /// Runs up to `pf_max_iterations` route-all/reprice rounds; converges
-/// when no segment node is used by two nets. `arenas` are the per-worker
-/// overlay arenas allocated by `route_classified` (empty when
-/// `threads <= 1`).
+/// when no segment node is used by two nets. Each route phase splits
+/// across up to `threads` workers.
 ///
 /// [`RouteMode::Pathfinder`]: crate::router::RouteMode::Pathfinder
 pub(crate) fn route_negotiated(
@@ -252,7 +250,6 @@ pub(crate) fn route_negotiated(
     circuit: &Circuit,
     critical: &[bool],
     threads: usize,
-    arenas: &mut Vec<OverlayArena>,
 ) -> Result<RouteOutcome, FpgaError> {
     let device = router.device();
     let config = router.config();
@@ -304,6 +301,10 @@ pub(crate) fn route_negotiated(
     let mut final_trees: Vec<Option<RoutingTree>> = Vec::new();
     let mut prev_usage: Vec<u32> = Vec::new();
     let mut prev_claims: Vec<usize> = Vec::new();
+    // One delta arena per route-phase worker, grown on demand and
+    // rebound every iteration — the per-iteration snapshot cost is an
+    // O(1) generation bump instead of a full graph clone per worker.
+    let mut arenas: Vec<OverlayArena> = Vec::new();
     for iteration in 1..=budget {
         // lint: allow(determinism-wall-clock): per-iteration timing lands in IterationStats reporting; cost updates never read it
         let started = std::time::Instant::now();
@@ -321,7 +322,7 @@ pub(crate) fn route_negotiated(
                 circuit,
                 critical,
                 threads,
-                arenas,
+                &mut arenas,
                 &priced,
                 &final_trees,
                 ctx,
@@ -653,16 +654,17 @@ fn trees_differ(a: Option<&RoutingTree>, b: Option<&RoutingTree>) -> bool {
 /// The route phase: the nets listed in `order` (all of them in
 /// full-reroute mode, the dirty set in selective mode), each against
 /// the same priced snapshot minus its own previous present cost (see
-/// [`route_net_excluded`]). With `threads > 1`, worker `k` routes the
-/// nets at positions `k, k+threads, …` of `order` over its own
-/// [`GraphOverlay`]; the partition is invisible in the results because
-/// no net's route depends on any other net's — only on the shared
-/// snapshot and that net's own previous tree.
+/// [`route_net_excluded`]). The phase runs on `min(threads, order.len())`
+/// workers, so it never spawns a worker with nothing to route; with two
+/// or more, worker `k` routes the nets at positions `k, k+workers, …` of
+/// `order` over its own [`GraphOverlay`]. The partition is invisible in
+/// the results because no net's route depends on any other net's — only
+/// on the shared snapshot and that net's own previous tree.
 ///
 /// Returns `(net index, Some(tree))` per routed net, `None` for a
 /// disconnected one; nets outside `order` are untouched. The snapshot
 /// is left exactly as it was on entry (masking and exclusion happen on
-/// per-worker overlays whose deltas die with the phase).
+/// per-worker overlays, reset after every net).
 ///
 /// The priced graph is packed once per phase into a flat-CSR snapshot
 /// ([`CsrView`]) so every net's shortest-path relaxations sweep
@@ -687,35 +689,28 @@ fn route_all(
 ) -> Result<Vec<(usize, Option<RoutingTree>)>, FpgaError> {
     let prev_of = |ni: usize| prev.get(ni).and_then(Option::as_ref);
     let csr = CsrView::build(priced);
-    if threads <= 1 {
+    let workers = threads.min(order.len());
+    if workers <= 1 {
         let phase_started = if route_trace::enabled() {
             // lint: allow(determinism-wall-clock): gated on route_trace::enabled(); feeds the span timeline only, never routing state
             Some(std::time::Instant::now())
         } else {
             None
         };
-        // `route_classified` allocates no arenas for the sequential
-        // mode; the CSR path still routes through an overlay (the CSR
-        // snapshot is immutable), so make sure one exists and reuse it
-        // across iterations like the workers reuse theirs.
+        // The CSR snapshot is immutable, so even the single-worker phase
+        // routes through an overlay, reusing its arena across iterations
+        // like the workers reuse theirs.
         if arenas.is_empty() {
             arenas.push(OverlayArena::new());
         }
         let mut overlay = GraphOverlay::bind(&csr, &mut arenas[0]);
         let mut routed: Vec<(usize, Option<RoutingTree>)> = Vec::with_capacity(order.len());
         for &ni in order {
-            routed.push((
-                ni,
-                route_net_excluded(
-                    router,
-                    &mut overlay,
-                    circuit,
-                    ni,
-                    critical,
-                    prev_of(ni),
-                    ctx,
-                )?,
-            ));
+            let tree =
+                route_net_excluded(router, &mut overlay, circuit, ni, critical, prev_of(ni), ctx)?;
+            // O(1) back to the priced snapshot for the next net.
+            overlay.reset();
+            routed.push((ni, tree));
         }
         if let Some(started) = phase_started {
             route_trace::record_timeline(route_trace::TimelineRecord {
@@ -724,21 +719,19 @@ fn route_all(
                 role: "pf-worker",
                 busy_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
                 nets: order.len(),
-                steals: 0,
-                stalls: 0,
             });
         }
         return Ok(routed);
     }
-    while arenas.len() < threads {
+    while arenas.len() < workers {
         arenas.push(OverlayArena::new());
     }
     let snapshot: &CsrView = &csr;
     let parent_span = route_trace::current_span();
-    let mut worker_results: Vec<WorkerRoutes> = Vec::with_capacity(threads);
+    let mut worker_results: Vec<WorkerRoutes> = Vec::with_capacity(workers);
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for (k, arena) in arenas.iter_mut().enumerate().take(threads) {
+        let mut handles = Vec::with_capacity(workers);
+        for (k, arena) in arenas.iter_mut().enumerate().take(workers) {
             handles.push(scope.spawn(move || {
                 route_trace::adopt_parent(parent_span);
                 let worker_started = if route_trace::enabled() {
@@ -752,19 +745,18 @@ fn route_all(
                     route_trace::count(route_trace::Counter::OverlayBinds, 1);
                 }
                 let mut routed = Vec::new();
-                for ni in (k..order.len()).step_by(threads).map(|j| order[j]) {
-                    routed.push((
+                for ni in (k..order.len()).step_by(workers).map(|j| order[j]) {
+                    let tree = route_net_excluded(
+                        router,
+                        &mut overlay,
+                        circuit,
                         ni,
-                        route_net_excluded(
-                            router,
-                            &mut overlay,
-                            circuit,
-                            ni,
-                            critical,
-                            prev_of(ni),
-                            ctx,
-                        ),
-                    ));
+                        critical,
+                        prev_of(ni),
+                        ctx,
+                    );
+                    overlay.reset();
+                    routed.push((ni, tree));
                 }
                 if let Some(started) = worker_started {
                     route_trace::record_timeline(route_trace::TimelineRecord {
@@ -774,8 +766,6 @@ fn route_all(
                         busy_ns: u64::try_from(started.elapsed().as_nanos())
                             .unwrap_or(u64::MAX),
                         nets: routed.len(),
-                        steals: 0,
-                        stalls: 0,
                     });
                 }
                 route_trace::flush_thread();
@@ -829,12 +819,13 @@ fn route_all(
 /// alternatives in lockstep forever.
 ///
 /// Summed endpoint pricing makes the exclusion exact: each segment node
-/// added its pressure to every incident edge, so the subtracted amount
-/// is restored — in reverse order, so an edge with both endpoints on
-/// the previous route returns to its exact price — after the search.
-/// The adjustment depends only on the snapshot, the net's own previous
-/// tree, and the single-writer claim table, never on the worker
-/// partition, preserving thread-count bit-identity.
+/// added its pressure to every incident edge, so subtracting it along
+/// the previous route prices the net as if that occupancy were gone.
+/// The adjustment is written into `graph` and left there; callers route
+/// over an overlay and reset it before the next net. It depends only on
+/// the snapshot, the net's own previous tree, and the single-writer
+/// claim table, never on the worker partition, preserving thread-count
+/// bit-identity.
 fn route_net_excluded<G: GraphViewMut>(
     router: &Router<'_>,
     graph: &mut G,
@@ -845,7 +836,6 @@ fn route_net_excluded<G: GraphViewMut>(
     ctx: ExclusionCtx<'_>,
 ) -> Result<Option<RoutingTree>, FpgaError> {
     let device = router.device();
-    let mut saved: Vec<(EdgeId, Weight)> = Vec::new();
     if let Some(tree) = prev {
         for v in tree.nodes() {
             // Only segment nodes carry usage pressure (the tally in
@@ -874,7 +864,6 @@ fn route_net_excluded<G: GraphViewMut>(
                 graph.neighbors(v).map(|(_, e, w)| (e, w)).collect();
             for (e, w) in incident {
                 graph.set_weight(e, w.saturating_sub(amount))?;
-                saved.push((e, w));
             }
         }
     }
@@ -882,9 +871,5 @@ fn route_net_excluded<G: GraphViewMut>(
         inner: graph,
         net_salt: ni as u64,
     };
-    let result = router.route_net(&mut tilted, circuit, ni, critical);
-    while let Some((e, w)) = saved.pop() {
-        graph.set_weight(e, w)?;
-    }
-    result
+    router.route_net(&mut tilted, circuit, ni, critical)
 }

@@ -11,7 +11,7 @@
 //! paper's feasibility threshold is 20) the circuit is declared unroutable
 //! at this channel width.
 
-use route_graph::{GraphError, GraphView, GraphViewMut, NodeId, OverlayArena, Weight};
+use route_graph::{GraphError, GraphView, GraphViewMut, NodeId, Weight};
 use steiner_route::{
     idom_with_config, CandidatePool, Djka, Dom, Iterated, IteratedConfig, Kmb, Net,
     Pfa, RoutingTree, SteinerError, SteinerHeuristic, Zel,
@@ -62,8 +62,8 @@ impl RouteAlgorithm {
     /// algorithms receive the given candidate pool and run in screened
     /// mode (chip-scale graphs); ZEL and PFA restrict their Steiner-node
     /// scans to the same pool, so every construction's distance queries
-    /// stay inside the net's spatial footprint and its recorded read set
-    /// is bounded by the region instead of the whole chip.
+    /// stay inside the net's spatial footprint instead of flooding the
+    /// whole chip.
     #[must_use]
     pub fn heuristic<G: GraphView>(self, pool: CandidatePool) -> Box<dyn SteinerHeuristic<G>> {
         let config = IteratedConfig {
@@ -110,42 +110,13 @@ impl RouteAlgorithm {
     }
 }
 
-/// Which parallel engine drives multi-threaded passes.
-///
-/// Both engines produce trees and channel widths bit-identical to the
-/// sequential router (`threads = 1`); they differ only in how worker
-/// time is scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SchedulerKind {
-    /// Dependency-DAG wavefront ([`sched`](crate::sched)): ready nets
-    /// flow through work-stealing deques and the in-order committer runs
-    /// concurrently with ongoing speculation — no barriers.
-    #[default]
-    Wavefront,
-    /// Lockstep batches ([`parallel`](crate::parallel)): speculate a
-    /// bbox-disjoint batch, barrier, commit, repeat. Kept as a baseline
-    /// and fallback.
-    Batch,
-}
-
-impl SchedulerKind {
-    /// Stable CLI/display name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::Wavefront => "wavefront",
-            SchedulerKind::Batch => "batch",
-        }
-    }
-}
-
 /// Which routing discipline resolves congestion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RouteMode {
     /// The paper's sequential discipline: nets are routed one at a time,
     /// committed resources are removed so later nets stay disjoint, and
-    /// move-to-front reacts to failures across passes. Parallelism comes
-    /// from speculation ([`SchedulerKind`]).
+    /// move-to-front reacts to failures across passes. Always sequential:
+    /// [`RouterConfig::threads`] does not apply.
     #[default]
     RipUp,
     /// Negotiated congestion (PathFinder, see
@@ -198,7 +169,7 @@ pub struct RouterConfig {
     /// changed. Iteration work then scales with remaining congestion
     /// instead of circuit size. Off by default; results may legitimately
     /// differ from full-reroute mode (different, equally valid routings)
-    /// but stay bit-identical across thread counts and schedulers.
+    /// but stay bit-identical across thread counts.
     pub pf_selective: bool,
     /// Staleness slack for selective mode, in milli-units: a clean net is
     /// also marked dirty when the history cost summed over its own tree's
@@ -233,42 +204,14 @@ pub struct RouterConfig {
     /// intended deployment is a Steiner construction here (IKMB) with an
     /// arborescence (PFA/IDOM) for the critical nets.
     pub critical_algorithm: Option<RouteAlgorithm>,
-    /// Worker threads for the batched parallel routing engine
-    /// ([`parallel`](crate::parallel)). `1` (the default) takes the
-    /// original strictly-sequential path; `>= 2` speculatively routes
-    /// batches of spatially disjoint nets concurrently and repairs
-    /// conflicts at commit time, producing identical routed trees and
-    /// channel widths under a fixed seed. `0` selects automatically per
-    /// circuit via [`auto_thread_count`]: small circuits route
-    /// sequentially (speculation overhead dominates), large ones use
-    /// every available core.
+    /// Worker threads for PathFinder's route phase
+    /// ([`RouteMode::Pathfinder`] only): each iteration's nets split
+    /// across up to this many workers, with trees identical for every
+    /// thread count. `1` (the default) routes the phase on the calling
+    /// thread; `0` selects automatically per circuit via
+    /// [`auto_thread_count`]. Rip-up ignores it and commits one net at a
+    /// time (DESIGN.md §5c says why).
     pub threads: usize,
-    /// Which parallel engine drives multi-threaded passes; ignored when
-    /// the pass runs sequentially.
-    pub scheduler: SchedulerKind,
-    /// Work conservation in the wavefront scheduler: when the
-    /// next-to-commit net has not been picked up by any worker, the
-    /// committer claims it and routes it itself instead of waiting —
-    /// over a private overlay while workers are mid-route, or directly
-    /// on the shared graph (workers gated out, pure sequential speed)
-    /// when nothing is in flight. Results are bit-identical either way;
-    /// disabling it forces every net through worker speculation, which
-    /// the adversarial stress tests use to exercise the conflict
-    /// detector regardless of how the host schedules threads.
-    pub committer_claims: bool,
-    /// Wavefront adaptive suspension: consecutive stale speculations
-    /// (with no ahead-of-frontier acceptance in between) after which
-    /// worker speculation is suspended and the committer drains the
-    /// ready queues at sequential speed. Lower values bail out of
-    /// unprofitable overlap sooner; higher values tolerate longer
-    /// stale streaks on bursty hosts. Ignored by the batch scheduler
-    /// and sequential passes.
-    pub spec_exit_misses: usize,
-    /// Wavefront probe cadence while speculation is suspended: every
-    /// this-many commits the workers get one probe window to show that
-    /// overlap pays again. `0` is clamped to `1` (probe every commit).
-    /// Ignored by the batch scheduler and sequential passes.
-    pub spec_probe_period: usize,
 }
 
 impl Default for RouterConfig {
@@ -288,10 +231,6 @@ impl Default for RouterConfig {
             move_to_front: true,
             critical_algorithm: None,
             threads: 1,
-            scheduler: SchedulerKind::default(),
-            committer_claims: true,
-            spec_exit_misses: crate::sched::SPEC_EXIT_MISSES,
-            spec_probe_period: crate::sched::SPEC_PROBE_PERIOD,
         }
     }
 }
@@ -318,10 +257,9 @@ pub struct RouteOutcome {
     pub total_wirelength: Weight,
     /// Per-net maximum source-sink pathlength within the tree.
     pub max_pathlengths: Vec<Weight>,
-    /// Per-pass telemetry — wall-clock, parallel-engine batching
+    /// Per-pass telemetry — wall-clock, PathFinder's negotiation
     /// counters, and end-of-pass congestion snapshots; one entry per
-    /// executed pass (failed passes included), so benches can compare the
-    /// sequential and parallel engines on equal footing.
+    /// executed pass or iteration (failed passes included).
     pub telemetry: crate::telemetry::RouteTelemetry,
 }
 
@@ -426,17 +364,9 @@ impl<'d> Router<'d> {
                 std::cmp::Reverse(circuit.nets()[ni].pin_count()),
             )
         });
-        let threads = self.resolve_threads(circuit);
-        // One delta arena per worker, allocated once and rebound every
-        // batch wave — the per-wave snapshot cost is an O(1) generation
-        // bump instead of a full graph clone per worker.
-        let mut arenas: Vec<OverlayArena> = if threads > 1 {
-            (0..threads).map(|_| OverlayArena::new()).collect()
-        } else {
-            Vec::new()
-        };
         if self.config.mode == RouteMode::Pathfinder {
-            return crate::pathfinder::route_negotiated(self, circuit, critical, threads, &mut arenas);
+            let threads = self.resolve_threads(circuit);
+            return crate::pathfinder::route_negotiated(self, circuit, critical, threads);
         }
         // Inverse of `order` so a failure promotes in O(pos) rotation
         // instead of an O(n) scan + remove + insert per failed pass.
@@ -447,33 +377,11 @@ impl<'d> Router<'d> {
         let mut last_failure = 0usize;
         let mut passes_telemetry: Vec<crate::telemetry::PassTelemetry> = Vec::new();
         for pass in 1..=self.config.max_passes.max(1) {
+            // lint: allow(determinism-wall-clock): pass wall-clock feeds PassTelemetry::elapsed only; routing never reads it
             let started = std::time::Instant::now();
             let (result, mut timing) = {
                 let _pass_span = route_trace::span(route_trace::SpanKind::Pass, "pass", pass as u64);
-                if threads > 1 {
-                    match self.config.scheduler {
-                        SchedulerKind::Wavefront => crate::sched::route_pass_wavefront(
-                            self,
-                            circuit,
-                            &order,
-                            critical,
-                            threads,
-                            &mut arenas,
-                            pass,
-                        )?,
-                        SchedulerKind::Batch => crate::parallel::route_pass_parallel(
-                            self,
-                            circuit,
-                            &order,
-                            critical,
-                            threads,
-                            &mut arenas,
-                            pass,
-                        )?,
-                    }
-                } else {
-                    self.route_pass(circuit, &order, critical)?
-                }
+                self.route_pass(circuit, &order, critical)?
             };
             timing.pass = pass;
             timing.elapsed = started.elapsed();
@@ -508,7 +416,7 @@ impl<'d> Router<'d> {
         self.device
     }
 
-    /// Resolves [`RouterConfig::threads`] for this circuit: `0` asks
+    /// Resolves [`RouterConfig::threads`] for PathFinder: `0` asks
     /// [`auto_thread_count`] with the machine's available parallelism,
     /// any other value is taken literally.
     fn resolve_threads(&self, circuit: &Circuit) -> usize {
@@ -546,7 +454,7 @@ impl<'d> Router<'d> {
         for &ni in order {
             match self.route_net(&mut g, circuit, ni, critical)? {
                 Some(tree) => {
-                    self.commit(&mut g, &mut usage, w, &tree, None)?;
+                    self.commit(&mut g, &mut usage, w, &tree)?;
                     // Report against the pristine device graph so costs
                     // measure physical wire, not congestion-inflated
                     // weights.
@@ -645,22 +553,16 @@ impl<'d> Router<'d> {
     /// resources, and refreshes congestion weights around the touched
     /// channel positions.
     ///
-    /// When `changed` is given, every node the commit invalidates for
-    /// concurrent speculation — removed tree nodes plus the segment nodes
-    /// whose incident edge weights were refreshed — is recorded there, so
-    /// the parallel engine can detect stale speculative routes.
-    ///
     /// Occupancy counters and congestion weights use saturating
     /// arithmetic: pathological `congestion_alpha_milli` values or
     /// long-running usage can otherwise overflow `alpha · u` and panic
     /// mid-pass.
-    pub(crate) fn commit<G: GraphViewMut>(
+    fn commit<G: GraphViewMut>(
         &self,
         g: &mut G,
         usage: &mut [u32],
         w: u64,
         tree: &RoutingTree,
-        mut changed: Option<&mut std::collections::HashSet<NodeId>>,
     ) -> Result<(), FpgaError> {
         let commit_started = if route_trace::enabled() {
             // lint: allow(determinism-wall-clock): gated on route_trace::enabled(); feeds the span timeline only, never routing state
@@ -678,9 +580,6 @@ impl<'d> Router<'d> {
         }
         for &v in &nodes {
             g.remove_node(v)?;
-            if let Some(set) = changed.as_deref_mut() {
-                set.insert(v);
-            }
         }
         // Refresh weights of live edges around congested positions.
         touched.sort_unstable();
@@ -690,9 +589,6 @@ impl<'d> Router<'d> {
             for v in self.device.segment_nodes_at(pos) {
                 if !g.is_node_live(v) {
                     continue;
-                }
-                if let Some(set) = changed.as_deref_mut() {
-                    set.insert(v);
                 }
                 let edges: Vec<_> = g.neighbors(v).map(|(_, e, _)| e).collect();
                 for e in edges {
@@ -724,10 +620,9 @@ impl<'d> Router<'d> {
     }
 
     /// Every segment node within the net's block bounding box expanded by
-    /// `margin` blocks — the net's spatial footprint. Used both as the
-    /// Steiner candidate pool and (with a wider margin) as the parallel
-    /// engine's interaction region for batching and conflict detection.
-    pub(crate) fn region_nodes(
+    /// `margin` blocks — the net's spatial footprint, used as the Steiner
+    /// candidate pool.
+    fn region_nodes(
         &self,
         circuit: &Circuit,
         ni: usize,
@@ -767,7 +662,7 @@ impl<'d> Router<'d> {
     }
 }
 
-pub(crate) enum PassResult {
+enum PassResult {
     Complete(RouteOutcome),
     Failed(usize),
 }
@@ -791,19 +686,17 @@ pub(crate) fn promote_to_front(order: &mut [usize], index_of: &mut [usize], ni: 
     }
 }
 
-/// Picks a worker count for `threads = 0` (automatic) from the circuit's
-/// shape. Routing stays sequential when:
+/// Picks PathFinder's route-phase worker count for `threads = 0`
+/// (automatic) from the circuit's shape. The phase stays on one thread
+/// when:
 ///
-/// * there are too few nets to expose inter-net parallelism (fewer
-///   than 8), or
-/// * the routing graph is so small (under 2000 live nodes) that
-///   speculation bookkeeping outweighs the snapshot savings, or
+/// * there are too few nets to spread across workers (fewer than 8), or
+/// * the routing graph is so small (under 2000 live nodes) that spawning
+///   workers and binding their overlays outweighs the routing they
+///   share out, or
 /// * the circuit is a **few-large-nets** shape — fewer than 32 nets
-///   averaging 8+ pins each. High-fan-in nets have sprawling bounding
-///   boxes, so the conflict DAG degenerates toward a chain and
-///   speculation mostly re-speculates; the per-net Dijkstra fan-out
-///   inside the sequential-ish schedule is then the better use of
-///   cores, not inter-net speculation.
+///   averaging 8+ pins each. A handful of high-fan-in nets dominates each
+///   route phase, so the other workers sit idle behind the largest one.
 ///
 /// Otherwise every available core is used. Pure in its arguments so the
 /// policy is unit-testable without a device.

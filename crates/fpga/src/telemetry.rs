@@ -1,8 +1,8 @@
 //! Per-pass routing telemetry surfaced on [`RouteOutcome`].
 //!
 //! Every routing attempt records one [`PassTelemetry`] per executed pass
-//! — wall-clock, the parallel engine's batching/acceptance counters, and
-//! a [`CongestionSnapshot`] of channel occupancy at the end of the pass.
+//! — wall-clock, PathFinder's negotiation counters, and a
+//! [`CongestionSnapshot`] of channel occupancy at the end of the pass.
 //! The same snapshots are mirrored into the global `route_trace`
 //! collector (when one is installed), so CLI traces and in-process
 //! consumers see identical data.
@@ -13,37 +13,30 @@ pub use route_trace::CongestionSnapshot;
 
 /// Instrumentation for one executed routing pass.
 ///
-/// The sequential engine fills `pass`, `elapsed`, and `congestion`; the
-/// batch engine additionally fills the batching counters, and the
-/// wavefront scheduler the steal/stall/re-speculation counters. Every
-/// speculation is resolved exactly once, so on a completed pass
-/// `accepted + rerouted + respeculated == speculated` regardless of
-/// engine.
+/// Rip-up fills `pass`, `elapsed`, and `congestion`; negotiated
+/// congestion additionally fills the PathFinder counters.
+///
+/// `speculated`, `accepted`, `respeculated`, `steals` and `stalls` are
+/// always 0: rip-up routes one net at a time and PathFinder never
+/// speculates. They stay only so existing readers of these fields keep
+/// compiling.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PassTelemetry {
     /// 1-based pass number within the routing attempt.
     pub pass: usize,
-    /// Batches the pass order was split into (sequential engine: 0).
-    pub batches: usize,
-    /// Nets routed speculatively on worker threads.
+    /// Always 0 (see the type docs).
     pub speculated: usize,
-    /// Speculative results committed without re-routing.
+    /// Always 0 (see the type docs).
     pub accepted: usize,
-    /// Speculative results discarded and re-routed sequentially (batch
-    /// engine only; the wavefront scheduler requeues instead).
-    pub rerouted: usize,
-    /// Speculative results rejected at commit and requeued against a
-    /// fresh commit sequence (wavefront scheduler only).
+    /// Always 0 (see the type docs).
     pub respeculated: usize,
-    /// Ready nets an idle worker took from another worker's deque
-    /// (wavefront scheduler only).
+    /// Always 0 (see the type docs).
     pub steals: usize,
-    /// Times a worker found no ready net and parked (wavefront scheduler
-    /// only).
+    /// Always 0 (see the type docs).
     pub stalls: usize,
     /// Routing-resource nodes over capacity at the end of the pass
-    /// (negotiated-congestion mode only; the rip-up engines keep nets
-    /// disjoint by construction, so they report 0).
+    /// (negotiated-congestion mode only; rip-up keeps nets disjoint by
+    /// construction, so it reports 0).
     pub overcapacity: usize,
     /// History-cost accumulations applied after the pass (negotiated-
     /// congestion mode only; one per over-capacity node).
@@ -53,7 +46,7 @@ pub struct PassTelemetry {
     pub nets_rerouted: usize,
     /// Nets this iteration actually routed: the dirty set in selective
     /// negotiated-congestion mode, every net otherwise (negotiated-
-    /// congestion mode only; rip-up engines report 0).
+    /// congestion mode only; rip-up reports 0).
     pub dirty_nets: usize,
     /// Edges rewritten by this iteration's cost update — the full edge
     /// count under the full sweep, only the delta under selective mode's
@@ -65,19 +58,6 @@ pub struct PassTelemetry {
     /// Channel occupancy at the end of the pass (or at the failing net,
     /// for passes that end early).
     pub congestion: CongestionSnapshot,
-}
-
-impl PassTelemetry {
-    /// Fraction of speculated nets whose results were committed as-is,
-    /// or `None` if nothing was speculated.
-    #[must_use]
-    pub fn acceptance(&self) -> Option<f64> {
-        if self.speculated == 0 {
-            None
-        } else {
-            Some(self.accepted as f64 / self.speculated as f64)
-        }
-    }
 }
 
 /// Telemetry for a whole routing attempt: one entry per executed pass
@@ -95,19 +75,6 @@ impl RouteTelemetry {
         self.passes.iter().map(|p| p.elapsed).sum()
     }
 
-    /// Overall speculation acceptance across all passes, or `None` if
-    /// nothing was ever speculated (sequential engine).
-    #[must_use]
-    pub fn acceptance(&self) -> Option<f64> {
-        let speculated: usize = self.passes.iter().map(|p| p.speculated).sum();
-        if speculated == 0 {
-            None
-        } else {
-            let accepted: usize = self.passes.iter().map(|p| p.accepted).sum();
-            Some(accepted as f64 / speculated as f64)
-        }
-    }
-
     /// The final pass's congestion snapshot, if any pass ran.
     #[must_use]
     pub fn final_congestion(&self) -> Option<&CongestionSnapshot> {
@@ -118,27 +85,6 @@ impl RouteTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn acceptance_ratios() {
-        let mut t = PassTelemetry::default();
-        assert_eq!(t.acceptance(), None);
-        t.speculated = 4;
-        t.accepted = 3;
-        assert_eq!(t.acceptance(), Some(0.75));
-
-        let route = RouteTelemetry {
-            passes: vec![
-                t,
-                PassTelemetry {
-                    speculated: 4,
-                    accepted: 1,
-                    ..PassTelemetry::default()
-                },
-            ],
-        };
-        assert_eq!(route.acceptance(), Some(0.5));
-    }
 
     #[test]
     fn totals_and_final_snapshot() {
@@ -154,6 +100,5 @@ mod tests {
         assert_eq!(route.total_elapsed(), Duration::from_millis(12));
         assert_eq!(route.final_congestion().unwrap().pass, 2);
         assert_eq!(RouteTelemetry::default().final_congestion(), None);
-        assert_eq!(RouteTelemetry::default().acceptance(), None);
     }
 }

@@ -155,7 +155,7 @@ pub fn minimum_channel_width(
 /// `threads <= 1` degenerates to the sequential linear scan.
 ///
 /// `attempts` counts every probe launched, including widths wider than
-/// the answer that were probed speculatively in the same wave.
+/// the answer that were probed concurrently in the same wave.
 ///
 /// # Errors
 ///
@@ -189,8 +189,10 @@ pub fn minimum_channel_width_parallel(
     let mut attempts = 0usize;
     let mut last_err = None;
     let mut wave_start = lo;
-    while wave_start <= hi {
-        let wave_end = (wave_start + threads - 1).min(hi);
+    loop {
+        // Saturate: `--probe-threads` accepts any usize, and an
+        // overflowing wave end would wrap below `lo`.
+        let wave_end = wave_start.saturating_add(threads - 1).min(hi);
         let widths: Vec<usize> = (wave_start..=wave_end).collect();
         attempts += widths.len();
         let mut results: Vec<Option<Result<RouteOutcome, FpgaError>>> =
@@ -214,6 +216,9 @@ pub fn minimum_channel_width_parallel(
                 Err(e @ FpgaError::Unroutable { .. }) => last_err = Some(e),
                 Err(e) => return Err(e),
             }
+        }
+        if wave_end == hi {
+            break;
         }
         wave_start = wave_end + 1;
     }
@@ -346,6 +351,28 @@ mod tests {
         #[allow(clippy::reversed_empty_ranges)] // the empty range IS the case under test
         let empty = minimum_channel_width_parallel(base, 3..=2, 4, |_| unreachable!());
         assert!(matches!(empty, Err(FpgaError::InvalidArchitecture(_))));
+    }
+
+    #[test]
+    fn parallel_search_with_huge_thread_count_probes_only_in_range_widths() {
+        // A wave end of `lo + threads - 1` overflows for threads near
+        // usize::MAX; the search must clamp it to the range instead.
+        let probed = std::sync::Mutex::new(Vec::new());
+        let base = ArchSpec::xilinx4000(2, 2, 1);
+        let result = minimum_channel_width_parallel(base, 3..=5, usize::MAX, |device| {
+            let w = device.arch().channel_width;
+            probed.lock().unwrap().push(w);
+            Err(FpgaError::Unroutable {
+                channel_width: w,
+                passes: 0,
+                failed_net: 0,
+                overcapacity: Vec::new(),
+            })
+        });
+        assert!(matches!(result, Err(FpgaError::Unroutable { .. })));
+        let mut probed = probed.into_inner().unwrap();
+        probed.sort_unstable();
+        assert_eq!(probed, vec![3, 4, 5]);
     }
 
     #[test]

@@ -195,20 +195,19 @@ impl ShortestPaths {
         heap: &mut IndexedBinaryHeap<Rank>,
         done: impl FnMut(NodeId) -> bool,
     ) -> Result<ShortestPaths, GraphError> {
-        // Monomorphize the hot loop on the two instrumentation flags so
-        // the common disabled/disabled case carries no tally counters, no
-        // read buffer, and no branches — the relaxation loop is the
-        // router's hottest path and even well-predicted branches there
-        // are measurable in the timing bench.
-        match (route_trace::enabled(), crate::readset::is_active()) {
-            (false, false) => Self::run_until_impl::<G, P, false, false>(g, source, potential, heap, done),
-            (false, true) => Self::run_until_impl::<G, P, false, true>(g, source, potential, heap, done),
-            (true, false) => Self::run_until_impl::<G, P, true, false>(g, source, potential, heap, done),
-            (true, true) => Self::run_until_impl::<G, P, true, true>(g, source, potential, heap, done),
+        // Monomorphize the hot loop on the instrumentation flag so the
+        // common untraced case carries no tally counters and no branches
+        // — the relaxation loop is the router's hottest path and even
+        // well-predicted branches there are measurable in the timing
+        // bench.
+        if route_trace::enabled() {
+            Self::run_until_impl::<G, P, true>(g, source, potential, heap, done)
+        } else {
+            Self::run_until_impl::<G, P, false>(g, source, potential, heap, done)
         }
     }
 
-    fn run_until_impl<G: GraphView, P: Potential, const TRACED: bool, const RECORDING: bool>(
+    fn run_until_impl<G: GraphView, P: Potential, const TRACED: bool>(
         g: &G,
         source: NodeId,
         potential: &P,
@@ -227,11 +226,6 @@ impl ShortestPaths {
         let mut pops = 0u64;
         let mut relaxations = 0u64;
         let mut pushes = 0u64;
-        // Read-set recording for speculative routing: every settled node
-        // and every relaxed neighbor is a node whose liveness or incident
-        // edge weights this run observed. Same local-buffer discipline as
-        // the counters above.
-        let mut reads: Vec<NodeId> = Vec::new();
         let n = g.node_count();
         let mut dist: Vec<Option<Weight>> = vec![None; n];
         let mut parent: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
@@ -246,18 +240,12 @@ impl ShortestPaths {
             }
             let v = NodeId::from_index(vi);
             dist[vi] = Some(d);
-            if RECORDING {
-                reads.push(v);
-            }
             if done(v) {
                 break;
             }
             for (u, e, w) in g.neighbors(v) {
                 if TRACED {
                     relaxations += 1;
-                }
-                if RECORDING {
-                    reads.push(u);
                 }
                 if dist[u.index()].is_some() {
                     continue; // settled
@@ -302,9 +290,6 @@ impl ShortestPaths {
                 route_trace::record_duration(route_trace::Metric::DijkstraRunNs, ns);
                 route_trace::record_duration(route_trace::Metric::KernelQueryNs, ns);
             }
-        }
-        if RECORDING {
-            crate::readset::extend(&reads);
         }
         Ok(ShortestPaths {
             source,
@@ -384,8 +369,6 @@ pub struct KernelScratch {
     /// `dist[i]` is meaningful iff `dist_stamp[i] == stamp`.
     dist_stamp: Vec<u64>,
     dist: Vec<Weight>,
-    /// Read-set buffer reused across recorded queries.
-    reads: Vec<NodeId>,
 }
 
 impl KernelScratch {
@@ -442,8 +425,8 @@ pub fn minpath_guided<G: GraphView, P: Potential>(
         .ok_or(GraphError::Disconnected { from: u, to: v })
 }
 
-/// Allocation-free variant of [`minpath`] over a scratch arena: the heap,
-/// distance array, and read buffer are reused across queries, and no
+/// Allocation-free variant of [`minpath`] over a scratch arena: the heap
+/// and distance array are reused across queries, and no
 /// `ShortestPaths` table is materialized. Returns exactly what [`minpath`]
 /// returns for the same arguments.
 ///
@@ -460,7 +443,6 @@ pub fn minpath_with<G: GraphView>(
     g.require_live_node(v)?;
     g.require_live_node(u)?;
     let traced = route_trace::enabled();
-    let recording = crate::readset::is_active();
     let started = if traced {
         Some(std::time::Instant::now())
     } else {
@@ -474,11 +456,9 @@ pub fn minpath_with<G: GraphView>(
         heap,
         dist_stamp,
         dist,
-        reads,
         ..
     } = scratch;
     heap.clear();
-    reads.clear();
     let mut pops = 0u64;
     let mut relaxations = 0u64;
     let mut pushes = 1u64;
@@ -488,18 +468,12 @@ pub fn minpath_with<G: GraphView>(
         pops += 1;
         dist_stamp[vi] = stamp;
         dist[vi] = d;
-        if recording {
-            reads.push(NodeId::from_index(vi));
-        }
         if vi == v.index() {
             found = Some(d);
             break;
         }
         for (w_node, _, w) in g.neighbors(NodeId::from_index(vi)) {
             relaxations += 1;
-            if recording {
-                reads.push(w_node);
-            }
             if dist_stamp[w_node.index()] == stamp {
                 continue; // settled this query
             }
@@ -519,9 +493,6 @@ pub fn minpath_with<G: GraphView>(
             route_trace::record_duration(route_trace::Metric::DijkstraRunNs, ns);
             route_trace::record_duration(route_trace::Metric::KernelQueryNs, ns);
         }
-    }
-    if recording {
-        crate::readset::extend(reads);
     }
     found.ok_or(GraphError::Disconnected { from: u, to: v })
 }

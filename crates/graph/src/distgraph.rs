@@ -87,9 +87,7 @@ impl TerminalDistances {
     /// new source must itself be a target — to
     /// `terminals ∪ extra_targets`. On chip-scale routing graphs this
     /// turns the per-net distance computation from whole-graph into a
-    /// neighborhood-sized search, and (because only examined nodes enter
-    /// the speculative [read set](crate::readset)) is what lets the
-    /// parallel router accept speculation on spatially disjoint nets.
+    /// neighborhood-sized search.
     ///
     /// # Errors
     ///
@@ -151,14 +149,10 @@ impl TerminalDistances {
             }
             seen[t.index()] = true;
         }
-        let sp = if crate::par::dijkstra_fanout() > 1 && terminals.len() > 1 {
-            Self::fanned_runs(g, terminals, &targets, potential)?
-        } else {
-            terminals
-                .iter()
-                .map(|&t| Self::one_run(g, t, &targets, potential).map(Rc::new))
-                .collect::<Result<Vec<_>, _>>()?
-        };
+        let sp = terminals
+            .iter()
+            .map(|&t| Self::one_run(g, t, &targets, potential).map(Rc::new))
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(TerminalDistances {
             terminals: terminals.to_vec(),
             sp,
@@ -176,74 +170,6 @@ impl TerminalDistances {
             Some(set) => ShortestPaths::run_to_targets_guided(g, t, set, potential),
             None => ShortestPaths::run_guided(g, t, potential),
         }
-    }
-
-    /// Runs the per-terminal Dijkstras on scoped worker threads — the
-    /// intra-net fallback the wavefront scheduler enables (through
-    /// [`par`](crate::par)) when its conflict DAG exposes fewer ready
-    /// nets than it has workers.
-    ///
-    /// Results are slotted by terminal index, so the output (and any
-    /// error: the lowest-indexed failing terminal wins, matching the
-    /// sequential loop) is independent of thread scheduling. Each thread
-    /// records into its own read-set recorder and the union is merged
-    /// back into the calling worker's recorder afterwards — without
-    /// this, reads made on the fan-out threads would escape the
-    /// speculative conflict check and acceptance would be unsound. The
-    /// merged set can only be a superset of the sequential one (threads
-    /// past a failing terminal keep running), which is conservative.
-    fn fanned_runs<G: GraphView, P: Potential>(
-        g: &G,
-        terminals: &[NodeId],
-        targets: &Option<Vec<NodeId>>,
-        potential: &P,
-    ) -> Result<Vec<Rc<ShortestPaths>>, GraphError> {
-        let workers = crate::par::dijkstra_fanout().min(terminals.len());
-        let parent_recording = crate::readset::is_active();
-        let parent_span = route_trace::current_span();
-        if route_trace::enabled() {
-            route_trace::count(route_trace::Counter::DijkstraFanouts, 1);
-        }
-        let mut slots: Vec<Option<Result<ShortestPaths, GraphError>>> =
-            (0..terminals.len()).map(|_| None).collect();
-        let mut merged_reads: Vec<NodeId> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        route_trace::adopt_parent(parent_span);
-                        if parent_recording {
-                            crate::readset::begin();
-                        }
-                        let runs: Vec<(usize, Result<ShortestPaths, GraphError>)> = terminals
-                            .iter()
-                            .enumerate()
-                            .skip(w)
-                            .step_by(workers)
-                            .map(|(i, &t)| (i, Self::one_run(g, t, targets, potential)))
-                            .collect();
-                        let reads = if parent_recording {
-                            crate::readset::take()
-                        } else {
-                            Vec::new()
-                        };
-                        (runs, reads)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let (runs, reads) = handle.join().expect("distance worker panicked");
-                for (i, r) in runs {
-                    slots[i] = Some(r);
-                }
-                merged_reads.extend_from_slice(&reads);
-            }
-        });
-        crate::readset::extend(&merged_reads);
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every terminal computed").map(Rc::new))
-            .collect()
     }
 
     /// The terminal list, in index order.
@@ -421,7 +347,7 @@ impl DistanceOracle {
     }
 
     /// Computes `minpath_G(u, v)` over the oracle's scratch arena: the
-    /// heap, distance array, and read buffer are reused across calls
+    /// heap and distance array are reused across calls
     /// instead of being reallocated per query. The answer is exactly
     /// [`dijkstra::minpath`](crate::dijkstra::minpath)'s, always computed
     /// fresh against `g` (no caching, so no epoch staleness to manage).
@@ -595,73 +521,6 @@ mod tests {
         // The dead extra was dropped from the target set, so the run
         // terminated at n2 instead of flooding to the end of the path.
         assert_eq!(local.dist_to_node(0, n[5]), None);
-    }
-
-    #[test]
-    fn fanned_runs_match_sequential() {
-        let (g, n) = path_graph(9);
-        let terminals = [n[0], n[4], n[8]];
-        let sequential = TerminalDistances::compute(&g, &terminals).unwrap();
-        let fanned = {
-            let _guard = crate::par::FanoutGuard::new(3);
-            TerminalDistances::compute(&g, &terminals).unwrap()
-        };
-        for i in 0..terminals.len() {
-            for j in 0..terminals.len() {
-                assert_eq!(fanned.dist(i, j), sequential.dist(i, j), "({i}, {j})");
-            }
-            for &v in &n {
-                assert_eq!(fanned.dist_to_node(i, v), sequential.dist_to_node(i, v));
-            }
-        }
-        assert_eq!(
-            fanned.path(0, 2).unwrap().nodes(),
-            sequential.path(0, 2).unwrap().nodes()
-        );
-    }
-
-    #[test]
-    fn fanned_target_restricted_runs_match_sequential() {
-        let (g, n) = path_graph(10);
-        let terminals = [n[0], n[5]];
-        let pool = [n[1], n[2], n[3], n[4]];
-        let sequential =
-            TerminalDistances::compute_to_targets(&g, &terminals, &pool).unwrap();
-        let fanned = {
-            let _guard = crate::par::FanoutGuard::new(2);
-            TerminalDistances::compute_to_targets(&g, &terminals, &pool).unwrap()
-        };
-        for i in 0..terminals.len() {
-            for &v in &pool {
-                assert_eq!(fanned.dist_to_node(i, v), sequential.dist_to_node(i, v));
-            }
-        }
-        // Early termination survives the fan-out.
-        assert_eq!(fanned.dist_to_node(0, n[9]), None);
-    }
-
-    #[test]
-    fn fanned_runs_merge_worker_read_sets() {
-        use std::collections::HashSet;
-        let (g, n) = path_graph(6);
-        let terminals = [n[0], n[5]];
-        crate::readset::begin();
-        TerminalDistances::compute(&g, &terminals).unwrap();
-        let sequential: HashSet<NodeId> = crate::readset::take().into_iter().collect();
-        crate::readset::begin();
-        {
-            let _guard = crate::par::FanoutGuard::new(2);
-            TerminalDistances::compute(&g, &terminals).unwrap();
-        }
-        let fanned: HashSet<NodeId> = crate::readset::take().into_iter().collect();
-        // Reads made on the fan-out threads must flow back into the
-        // calling worker's recorder — losing them would let speculation
-        // escape the conflict check.
-        assert!(
-            fanned.is_superset(&sequential),
-            "fanned read set lost nodes: {:?}",
-            sequential.difference(&fanned).collect::<Vec<_>>()
-        );
     }
 
     #[test]

@@ -38,20 +38,10 @@
 //! * [`random`] — seeded random graph / net workload generators.
 //! * [`rng`] — a vendored SplitMix64 PRNG so the workspace builds with no
 //!   network access (no crates.io dependencies).
-//! * [`readset`] — thread-local recording of the nodes a shortest-path
-//!   run examined, the conflict-detection primitive of the speculative
-//!   parallel router.
 //! * [`view`] / [`overlay`] — the [`GraphView`] read abstraction served by
 //!   both [`Graph`] and the epoch-tagged copy-on-write [`GraphOverlay`],
-//!   which gives the parallel router O(changed) per-worker snapshots with
-//!   O(1) restore instead of full clones.
-//! * [`shared`] — the wavefront scheduler's single-writer/many-reader
-//!   atomic pass graph ([`SharedPassGraph`]), which lets the in-order
-//!   committer mutate the pass state while workers keep speculating
-//!   against it, with visibility anchored by a published commit sequence.
-//! * [`par`] — the thread-local fan-out gate that lets a scheduler worker
-//!   spend idle cores on per-terminal Dijkstra parallelism inside one net
-//!   when too few disjoint nets are ready.
+//!   which gives PathFinder's route-phase workers O(changed) private views
+//!   of one priced snapshot with O(1) restore instead of full clones.
 //! * [`floyd`] — Floyd–Warshall all-pairs shortest paths, used as a test
 //!   oracle against Dijkstra.
 //!
@@ -88,12 +78,9 @@ pub mod lowerbound;
 pub mod mst;
 pub mod multiweight;
 pub mod overlay;
-pub mod par;
 pub mod path;
 pub mod random;
-pub mod readset;
 pub mod rng;
-pub mod shared;
 pub mod view;
 mod weight;
 
@@ -107,6 +94,5 @@ pub use grid::GridGraph;
 pub use ids::{EdgeId, NodeId};
 pub use overlay::{GraphOverlay, OverlayArena, OverlayBase};
 pub use path::Path;
-pub use shared::{SharedPassGraph, SharedPassView, SharedPassWriter};
 pub use view::{GraphView, GraphViewMut};
 pub use weight::{Weight, MILLI_PER_UNIT};

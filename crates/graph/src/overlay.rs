@@ -1,7 +1,7 @@
 //! Epoch-tagged copy-on-write overlays over a shared base [`Graph`].
 //!
-//! The parallel routing engine speculates many nets against one immutable
-//! pass snapshot. Cloning the snapshot per worker per batch wave costs
+//! PathFinder's route phase routes many nets against one immutable priced
+//! snapshot. Cloning the snapshot per worker per iteration costs
 //! O(nodes + edges) each time; a [`GraphOverlay`] instead layers a
 //! per-worker delta (weight changes, removed/restored nodes and edges)
 //! over a borrowed base graph. Every delta slot is tagged with the
@@ -11,13 +11,13 @@
 //! how large the graph is.
 //!
 //! The backing [`OverlayArena`] owns the slot arrays and persists across
-//! batch waves (and passes): after the first [`bind`](GraphOverlay::bind)
+//! iterations: after the first [`bind`](GraphOverlay::bind)
 //! sizes it, later binds cost O(1) plus the O(changed) writes the worker
 //! actually performs.
 //!
 //! Observationally, a bound overlay behaves exactly like `base.clone()`
-//! mutated the same way — including adjacency iteration order, which the
-//! bit-identity guarantees of the parallel engine rely on. The property
+//! mutated the same way — including adjacency iteration order, which
+//! PathFinder's thread-count bit-identity relies on. The property
 //! tests in `crates/graph/tests/proptest_overlay.rs` assert this under
 //! random interleavings.
 
@@ -33,12 +33,10 @@ use crate::{EdgeId, Graph, GraphError, NodeId, Weight};
 /// (endpoint liveness excluded, since the overlay re-derives that from
 /// its own node state).
 ///
-/// Implemented by [`Graph`] (the batch engine's per-pass snapshot), by
-/// [`SharedPassView`](crate::SharedPassView) (the wavefront scheduler's
-/// atomically-updated shared pass graph), and by
-/// [`CsrView`](crate::csr::CsrView) (the flat-CSR arena the negotiated
-/// router snapshots its priced graph into each iteration), so workers can
-/// bind the same overlay machinery over any of them.
+/// Implemented by [`Graph`] and by [`CsrView`](crate::csr::CsrView) (the
+/// flat-CSR arena the negotiated router snapshots its priced graph into
+/// each iteration), so workers can bind the same overlay machinery over
+/// either.
 pub trait OverlayBase: GraphView {
     /// Raw adjacency entries of `v` in insertion order, including entries
     /// whose edge or neighbor is currently removed.

@@ -5,7 +5,7 @@
 //! snapshot [`CsrView`](crate::csr::CsrView): every shortest-path routine
 //! and Steiner construction is generic over it, so the same code routes
 //! against the real pass graph, against a per-worker copy-on-write
-//! overlay during speculative parallel routing, or against the
+//! overlay during PathFinder's route phase, or against the
 //! cache-packed CSR arena the kernel benches and the pathfinder's route
 //! phase iterate.
 //! [`GraphViewMut`] adds the mutations the router needs while building a
@@ -26,13 +26,7 @@ use crate::{EdgeId, Graph, GraphError, NodeId, Weight};
 /// edges in insertion order and [`node_ids`](GraphView::node_ids) /
 /// [`edge_ids`](GraphView::edge_ids) ascend by index, so routing against
 /// a view is bit-identical to routing against an equivalent `Graph`.
-///
-/// `Sync` is a supertrait so a view can be shared by reference across
-/// scoped worker threads — the per-terminal Dijkstra fan-out in
-/// [`TerminalDistances`](crate::TerminalDistances) runs several sources
-/// of one net concurrently against the same `&G`. Every existing
-/// implementation is plain data (or atomics) and satisfies it for free.
-pub trait GraphView: Sync {
+pub trait GraphView {
     /// Total number of nodes ever added (live or removed).
     fn node_count(&self) -> usize;
 

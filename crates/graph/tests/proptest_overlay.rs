@@ -1,9 +1,9 @@
 //! Property tests: a [`GraphOverlay`] is observationally equal to a
 //! mutated clone of its base graph.
 //!
-//! The parallel routing engine's bit-identity guarantee rests on exactly
-//! this equivalence — a speculative construction must see the same
-//! liveness, weights, *and adjacency iteration order* through an overlay
+//! PathFinder's thread-count bit-identity rests on exactly this
+//! equivalence — a construction must see the same liveness, weights,
+//! *and adjacency iteration order* through an overlay
 //! as it would through `base.clone()` mutated the same way. Cases are
 //! generated from the vendored [`route_graph::rng`] PRNG (no external
 //! proptest dependency); each test sweeps seeded cases and names the

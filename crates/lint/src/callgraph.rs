@@ -1,13 +1,13 @@
 //! The workspace call graph and the **hot-path cone**: every function
-//! transitively reachable from the parallel routing entry points.
+//! transitively reachable from the routing entry points.
 //!
 //! The cone is the scope of the determinism rule family
-//! ([`crate::rules::determinism`]) and the cone-derived scopes of the
-//! readset and panic-hygiene rules: code a speculative or negotiated
-//! route pass can execute must be free of nondeterminism sources and
-//! panics, and code it cannot reach need not be. Entry points are
-//! pinned by `(file, fn)` below — the batch engine's speculate/commit,
-//! the wavefront scheduler's route pass, the negotiated-congestion
+//! ([`crate::rules::determinism`]) and the cone-derived scope of the
+//! panic-hygiene rule: code a rip-up pass or a negotiated route phase
+//! can execute must be free of nondeterminism sources and panics, and
+//! code it cannot reach need not be. Entry points are pinned by
+//! `(file, fn)` below — the router's per-circuit entry (which runs every
+//! rip-up pass and dispatches to PathFinder), the negotiated-congestion
 //! route phase, and the plain/guided Dijkstra kernels — so a refactor
 //! that renames or moves one fails the lint loudly
 //! ([`missing_entry_points`]) instead of silently shrinking the cone.
@@ -26,15 +26,11 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::items::{CallRef, FileItems};
 
-/// The parallel routing entry points seeding the cone, as
+/// The routing entry points seeding the cone, as
 /// `(workspace-relative file, fn name)`.
 pub const ENTRY_POINTS: &[(&str, &str)] = &[
-    // Batch engine: speculative routing + in-order conflict-checked commit.
-    ("crates/fpga/src/parallel.rs", "route_pass_parallel"),
-    ("crates/fpga/src/parallel.rs", "speculate"),
-    ("crates/fpga/src/parallel.rs", "commit_one"),
-    // Wavefront scheduler: the whole speculate+commit pass.
-    ("crates/fpga/src/sched.rs", "route_pass_wavefront"),
+    // Rip-up: every sequential pass, net route and commit of a routing.
+    ("crates/fpga/src/router.rs", "route_classified"),
     // Negotiated congestion: per-iteration parallel route phase + cost update.
     ("crates/fpga/src/pathfinder.rs", "route_negotiated"),
     // The plain and guided shortest-path kernels.
@@ -309,7 +305,7 @@ mod tests {
         assert_eq!(pf.reachable, Some(2));
         // Every other pinned entry point is absent from this mini-workspace.
         let missing: Vec<&str> = cone.missing_entry_points().collect();
-        assert!(missing.iter().any(|e| e.ends_with("route_pass_wavefront")));
+        assert!(missing.iter().any(|e| e.ends_with("route_classified")));
         assert_eq!(missing.len(), ENTRY_POINTS.len() - 1);
         assert_eq!(cone.fn_count, 2);
         assert_eq!(cone.file_count(), 1);
@@ -329,11 +325,11 @@ mod tests {
     #[test]
     fn self_qualified_calls_resolve_to_methods() {
         let files = workspace(&[(
-            "crates/fpga/src/sched.rs",
-            "impl Sched {\n pub fn route_pass_wavefront(&self) { Self::assign(); }\n fn assign() { leaf_fn(); }\n}\nfn leaf_fn() {}\n",
+            "crates/fpga/src/router.rs",
+            "impl Router {\n pub fn route_classified(&self) { Self::route_pass(); }\n fn route_pass() { leaf_fn(); }\n}\nfn leaf_fn() {}\n",
         )]);
         let cone = compute_cone(&files);
-        assert!(cone.contains_line("crates/fpga/src/sched.rs", 3), "Self::assign reached");
-        assert!(cone.contains_line("crates/fpga/src/sched.rs", 5), "leaf_fn reached");
+        assert!(cone.contains_line("crates/fpga/src/router.rs", 3), "Self::route_pass reached");
+        assert!(cone.contains_line("crates/fpga/src/router.rs", 5), "leaf_fn reached");
     }
 }

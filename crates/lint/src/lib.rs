@@ -1,11 +1,11 @@
 //! `fpga-lint` — a zero-dependency invariant checker for this workspace.
 //!
-//! The router's bit-identity guarantee under speculation rides on
-//! hand-maintained disciplines that the compiler cannot see: every
-//! shortest-path computation must be recorded into the thread-local
-//! read set, `SharedPassGraph` mutation must stay on the scheduler's
-//! commit paths, `Weight` arithmetic must saturate, hot paths must not
-//! panic, and the telemetry surface must stay documented. Each rule
+//! The router's bit-identity guarantee across thread counts rides on
+//! hand-maintained disciplines that the compiler cannot see: snapshot
+//! repricing must stay on PathFinder's single-writer cost-update phase,
+//! hot-path code must be free of nondeterminism sources, `Weight`
+//! arithmetic must saturate, hot paths must not panic, and the
+//! telemetry surface must stay documented. Each rule
 //! here mechanically enforces one of those disciplines over the raw
 //! token stream (see [`lexer`]) and fails CI with `file:line`
 //! diagnostics when a call site drifts.
@@ -44,17 +44,13 @@ pub struct RuleInfo {
     pub what: &'static str,
 }
 
-/// Every rule the linter knows.
+/// Every rule the linter knows. FL001 is retired along with the
+/// speculative engines' read sets it policed; its code is not reused.
 pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        name: rules::readset::RULE,
-        code: "FL001",
-        what: "Dijkstra/distance-graph entry points may only be called from readset-recording modules",
-    },
     RuleInfo {
         name: rules::commit_path::RULE,
         code: "FL002",
-        what: "shared-graph write handles and snapshot repricing stay on single-writer commit paths",
+        what: "snapshot repricing stays on PathFinder's single-writer cost-update phase",
     },
     RuleInfo {
         name: rules::weights::RULE,
@@ -94,7 +90,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: rules::determinism::RULE_THREAD,
         code: "FL012",
-        what: "thread identity or worker-index branching outside the scheduler assignment layer",
+        what: "thread identity or worker-index branching in library code",
     },
     RuleInfo {
         name: rules::determinism::RULE_FLOAT,
@@ -243,7 +239,6 @@ fn lint_tokens(
         scope,
     };
     let mut diags = Vec::new();
-    diags.extend(rules::readset::check(&ctx));
     diags.extend(rules::commit_path::check(&ctx));
     diags.extend(rules::weights::check(&ctx));
     diags.extend(rules::hygiene::check(&ctx));

@@ -1,39 +1,28 @@
-//! Rule `commit-path-mutation`: `SharedPassGraph` write access stays on
-//! the scheduler's commit paths.
+//! Rule `commit-path-mutation`: snapshot repricing stays on PathFinder's
+//! single-writer cost-update phase.
 //!
-//! The wavefront's soundness argument (DESIGN.md §5c, `shared.rs` module
-//! docs) assumes a **single writer**: all mutation of the shared pass
-//! graph flows through the committer's `SharedPassWriter`, every commit
-//! records its invalidated nodes in the changed log, and workers only
-//! ever hold read views. The type system cannot enforce that — the
-//! writer handle is obtainable from any shared borrow — so this rule
-//! does: naming `SharedPassWriter`, or calling `.writer()` / `.publish()`,
-//! anywhere but the scheduler commit modules is a diagnostic. A second
-//! writer elsewhere would mutate state that no changed set records,
-//! which the read-set conflict check could never detect.
-//!
-//! The negotiated-congestion router makes the same argument for its
-//! cost-update phase: `.reprice_edges(` bulk-rewrites every edge weight
-//! of the priced snapshot, and its delta variant
-//! `.reprice_incident_edges(` rewrites the edges around nodes whose
-//! pressure changed — either is only sound after the route phase's
-//! workers have joined. Calling them anywhere but `pathfinder.rs` (or
-//! the graph crate that defines them) would mutate prices some overlay
-//! might still be reading through.
+//! The negotiated-congestion router routes every net of an iteration
+//! against one priced snapshot, from worker threads that read it through
+//! overlays. `.reprice_edges(` bulk-rewrites every edge weight of that
+//! snapshot, and its delta variant `.reprice_incident_edges(` rewrites
+//! the edges around nodes whose pressure changed — either is only sound
+//! after the route phase's workers have joined. The borrow checker
+//! enforces that inside `pathfinder.rs`; this rule keeps the calls there:
+//! calling them anywhere but `pathfinder.rs` (or the graph crate that
+//! defines them) is a diagnostic, because it would mutate prices some
+//! overlay might still be reading through.
 
 use crate::{Diagnostic, FileCtx};
 
 /// Rule name, as used in `allow(...)` markers.
 pub const RULE: &str = "commit-path-mutation";
 
-/// Where write access is legitimate: the defining crate (the handle's
-/// own implementation and tests), the two scheduler commit paths, and
-/// the negotiated-congestion single-writer cost-update phase.
+/// Where repricing is legitimate: the defining crate (the methods' own
+/// implementation and tests) and the negotiated-congestion single-writer
+/// cost-update phase.
 fn allowed(path: &str) -> bool {
     path.starts_with("crates/graph/")
         || path.starts_with("crates/lint/")
-        || path == "crates/fpga/src/sched.rs"
-        || path == "crates/fpga/src/parallel.rs"
         || path == "crates/fpga/src/pathfinder.rs"
 }
 
@@ -46,38 +35,23 @@ pub fn check(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     for (k, &i) in code.iter().enumerate() {
         let tok = &ctx.tokens[i];
         let next = |o: usize| code.get(k + o).map(|&j| &ctx.tokens[j]);
-        let offender = if tok.is_ident("SharedPassWriter") {
-            Some("`SharedPassWriter` named".to_string())
-        } else if tok.is_punct(".")
-            && next(1).is_some_and(|t| {
-                t.is_ident("writer")
-                    || t.is_ident("publish")
-                    || t.is_ident("reprice_edges")
-                    || t.is_ident("reprice_incident_edges")
-            })
-            && next(2).is_some_and(|t| t.is_punct("("))
-        {
-            next(1).map(|t| format!("`.{}()` called", t.text))
-        } else {
-            None
-        };
-        if let Some(what) = offender {
-            let line = if tok.is_punct(".") {
-                next(1).map_or(tok.line, |t| t.line)
-            } else {
-                tok.line
-            };
-            diags.push(Diagnostic {
-                path: ctx.path.to_string(),
-                line,
-                rule: RULE,
-                message: format!("{what} outside the single-writer commit paths"),
-                hint: "mutate shared routing state only from its single-writer module \
-                       (sched.rs/parallel.rs for the pass graph, pathfinder.rs for snapshot \
-                       repricing); read through SharedPassView or an overlay instead"
-                    .to_string(),
-            });
+        if !tok.is_punct(".") || !next(2).is_some_and(|t| t.is_punct("(")) {
+            continue;
         }
+        let Some(method) = next(1).filter(|t| {
+            t.is_ident("reprice_edges") || t.is_ident("reprice_incident_edges")
+        }) else {
+            continue;
+        };
+        diags.push(Diagnostic {
+            path: ctx.path.to_string(),
+            line: method.line,
+            rule: RULE,
+            message: format!("`.{}()` called outside the single-writer commit paths", method.text),
+            hint: "reprice the snapshot only from pathfinder.rs's cost-update phase, after the \
+                   route phase's workers have joined"
+                .to_string(),
+        });
     }
     diags
 }
@@ -88,27 +62,11 @@ mod tests {
     use crate::lint_source;
 
     #[test]
-    fn writer_acquisition_fires_outside_commit_paths() {
-        let src = "fn f(shared: &SharedPassGraph) { let mut w = shared.writer(); }\n";
-        let diags = lint_source("crates/fpga/src/width.rs", src);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, RULE);
-        assert!(lint_source("crates/fpga/src/sched.rs", src).is_empty());
-        assert!(lint_source("crates/fpga/src/parallel.rs", src).is_empty());
-        assert!(lint_source("crates/graph/src/shared.rs", src).is_empty());
-    }
-
-    #[test]
-    fn naming_the_writer_type_fires() {
-        let src = "fn f(w: SharedPassWriter<'_>) {}\n";
-        assert_eq!(lint_source("crates/fpga/src/router.rs", src).len(), 1);
-    }
-
-    #[test]
     fn reprice_fires_outside_the_pathfinder_cost_update() {
         let src = "fn f(g: &mut Graph) { g.reprice_edges(|_, _, _, w| w); }\n";
         let diags = lint_source("crates/fpga/src/router.rs", src);
         assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].rule, RULE);
         assert!(diags[0].message.contains("reprice_edges"));
         assert!(lint_source("crates/fpga/src/pathfinder.rs", src).is_empty());
         assert!(lint_source("crates/graph/src/graph.rs", src).is_empty());
@@ -122,15 +80,5 @@ mod tests {
         assert!(diags[0].message.contains("reprice_incident_edges"));
         assert!(lint_source("crates/fpga/src/pathfinder.rs", src).is_empty());
         assert!(lint_source("crates/graph/src/graph.rs", src).is_empty());
-    }
-
-    #[test]
-    fn publish_fires_but_views_do_not() {
-        assert_eq!(
-            lint_source("crates/fpga/src/baseline.rs", "fn f(w: &W) { w.publish(3); }\n").len(),
-            1
-        );
-        let views = "fn f(s: &SharedPassGraph) { let v = s.view(); let q = s.commit_seq(); }\n";
-        assert!(lint_source("crates/fpga/src/baseline.rs", views).is_empty());
     }
 }

@@ -1,8 +1,8 @@
 //! The `determinism-*` rule family: mechanical bans on nondeterminism
 //! sources inside the hot-path cone.
 //!
-//! Every parallel mode this workspace ships promises bit-identical
-//! results across thread counts and schedulers. That promise dies
+//! PathFinder's parallel route phase promises bit-identical results
+//! across thread counts. That promise dies
 //! quietly: a `HashMap` iteration whose order leaks into net ordering,
 //! a wall-clock read folded into a cost, a worker-index branch, a float
 //! accumulator whose rounding depends on commit order. Each is legal
@@ -21,9 +21,8 @@
 //!   phases for telemetry carry per-site waivers arguing the reading
 //!   never feeds routing state.
 //! * [`RULE_THREAD`] — `thread::current()`, `ThreadId`, or branching on
-//!   a worker index outside the scheduler assignment layer
-//!   (`sched.rs`/`parallel.rs`/`par.rs`), where worker identity is
-//!   load-balancing-only by the single-writer argument.
+//!   a worker index. No module is exempt: PathFinder's workers take a
+//!   fixed strided share of the nets and never branch on who they are.
 //! * [`RULE_FLOAT`] — float accumulation (`+=`, `*=`, binary `+`/`*` on
 //!   float-typed locals) in cone code that also touches `Weight`: float
 //!   rounding is evaluation-order-dependent, so anything feeding edge
@@ -41,7 +40,7 @@ use crate::{Diagnostic, FileCtx};
 pub const RULE_HASH: &str = "determinism-hash-iter";
 /// Wall-clock reads in result-affecting cone code.
 pub const RULE_CLOCK: &str = "determinism-wall-clock";
-/// Thread identity / worker-index branching outside the scheduler.
+/// Thread identity / worker-index branching.
 pub const RULE_THREAD: &str = "determinism-thread-id";
 /// Float accumulation feeding Weight.
 pub const RULE_FLOAT: &str = "determinism-float-weight";
@@ -54,15 +53,6 @@ pub const RULE_CONE: &str = "determinism-cone";
 /// and their floats render reports, never edge costs.
 fn telemetry_module(path: &str) -> bool {
     path.starts_with("crates/trace/") || path.ends_with("/telemetry.rs")
-}
-
-/// The scheduler assignment layer: the only place worker identity may
-/// influence control flow (work distribution is identity-dependent by
-/// nature; results stay identity-free via the single-writer commit).
-fn scheduler_layer(path: &str) -> bool {
-    path == "crates/fpga/src/sched.rs"
-        || path == "crates/fpga/src/parallel.rs"
-        || path == "crates/graph/src/par.rs"
 }
 
 /// Iteration adapters whose results depend on hash order.
@@ -100,9 +90,7 @@ pub fn check(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
         check_wall_clock(ctx, &code, &mut diags);
         check_float_accumulation(ctx, &code, &mut diags);
     }
-    if !scheduler_layer(ctx.path) {
-        check_thread_identity(ctx, &code, &mut diags);
-    }
+    check_thread_identity(ctx, &code, &mut diags);
     diags
 }
 
@@ -294,10 +282,9 @@ fn check_thread_identity(ctx: &FileCtx<'_>, code: &[usize], diags: &mut Vec<Diag
                 path: ctx.path.to_string(),
                 line: tok.line,
                 rule: RULE_THREAD,
-                message: format!("{what} outside the scheduler assignment layer"),
-                hint: "worker identity may steer load balancing only inside \
-                       sched.rs/parallel.rs/par.rs; results must be identity-free — route \
-                       the decision through deterministic state (net index, graph epoch)"
+                message: format!("{what} in library code"),
+                hint: "results must be identity-free — route the decision through \
+                       deterministic state (net index, graph epoch)"
                     .to_string(),
             });
         }
@@ -440,13 +427,12 @@ mod tests {
     }
 
     #[test]
-    fn thread_identity_fires_outside_the_scheduler_layer() {
+    fn thread_identity_fires_in_every_library_module() {
         let src = "fn f() { let id = thread::current().id(); seed(id); }\n";
         let diags = lint_source(HOT, src);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, RULE_THREAD);
-        assert!(lint_source("crates/fpga/src/sched.rs", src).is_empty());
-        assert!(lint_source("crates/fpga/src/parallel.rs", src).is_empty());
+        assert_eq!(lint_source("crates/fpga/src/pathfinder.rs", src).len(), 1);
         let branch = "fn f(worker_index: usize) { if worker_index == 0 { shortcut(); } }\n";
         assert_eq!(lint_source(HOT, branch)[0].rule, RULE_THREAD);
     }

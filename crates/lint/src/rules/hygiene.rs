@@ -3,17 +3,17 @@
 //!
 //! `unsafe-forbid` keeps `#![forbid(unsafe_code)]` at every crate root
 //! (lib.rs, main.rs, `src/bin/*.rs`) and flags any utterance of the
-//! `unsafe` keyword: the engine's thread-safety argument is built on
-//! safe-Rust aliasing guarantees, and a single `unsafe` block would let
-//! a worker alias the shared graph behind the conflict check's back.
+//! `unsafe` keyword: the route phase's thread-safety argument is built
+//! on safe-Rust aliasing guarantees, and a single `unsafe` block would
+//! let a worker write the priced snapshot other workers are reading.
 //!
 //! `panic-hygiene` bans `.unwrap()`/`.expect(` in the hot-path modules
-//! (`dijkstra.rs`, `sched.rs`, `router.rs`, `overlay.rs`, `shared.rs`)
-//! outside `#[cfg(test)]`. A panic mid-pass on a worker thread poisons
-//! the scheduler mutex and deadlocks or aborts the committer — errors
-//! there must surface as `RouteError`/`Option` flow, and the few sites
-//! where a panic genuinely is the right response (poisoned lock ⇒ a
-//! sibling already panicked) carry individual justified allow-markers.
+//! (`dijkstra.rs`, `router.rs`, `overlay.rs`, `pathfinder.rs`) outside
+//! `#[cfg(test)]`. A panic mid-pass aborts the routing, and on a
+//! PathFinder worker it tears down the whole route phase — errors there
+//! must surface as `FpgaError`/`Option` flow, and the few sites where a
+//! panic genuinely is the right response (a joined worker already
+//! panicked) carry individual justified allow-markers.
 
 use crate::{Diagnostic, FileCtx};
 
@@ -23,10 +23,10 @@ pub const RULE_UNSAFE: &str = "unsafe-forbid";
 /// Rule name for the hot-path `.unwrap()`/`.expect()` ban.
 pub const RULE_PANIC: &str = "panic-hygiene";
 
-/// The mutex-critical tier: modules where the scheduler lock (or a
-/// worker holding work the committer waits on) is live, so *any* panic
-/// — even a documented-invariant `.expect()` — deadlocks or aborts the
-/// pass. Here both `.unwrap()` and `.expect()` are banned.
+/// The strict tier: the kernel, the router's pass loop, the overlays and
+/// PathFinder's route phase, where *any* panic — even a
+/// documented-invariant `.expect()` — aborts the pass. Here both
+/// `.unwrap()` and `.expect()` are banned.
 ///
 /// In workspace mode the rule's *scope* is no longer this list but the
 /// hot-path cone (`crate::callgraph`): `.unwrap()` is banned in every
@@ -37,11 +37,8 @@ pub const RULE_PANIC: &str = "panic-hygiene";
 /// the whole scope, as before.
 const HOT_PATH_FILES: &[&str] = &[
     "dijkstra.rs",
-    "sched.rs",
     "router.rs",
     "overlay.rs",
-    "shared.rs",
-    "parallel.rs",
     "pathfinder.rs",
 ];
 
@@ -90,14 +87,14 @@ pub fn check(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     }
 
     // --- panic-hygiene ---------------------------------------------------
-    let mutex_critical = is_hot_path(ctx.path, ctx.file_name());
+    let strict_tier = is_hot_path(ctx.path, ctx.file_name());
     let file_scope = match ctx.scope {
         // Cone masks are per-token; enter the loop whenever the cone
         // touches this file at all (the per-token check gates the rest).
         crate::ScopeSource::Workspace => {
             !ctx.path.starts_with("crates/lint/") && ctx.in_cone.iter().any(|&c| c)
         }
-        crate::ScopeSource::SingleFile => mutex_critical,
+        crate::ScopeSource::SingleFile => strict_tier,
     };
     if file_scope {
         for (k, &i) in code.iter().enumerate() {
@@ -117,13 +114,13 @@ pub fn check(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
                     if t.is_ident("expect") { "expect" } else { "unwrap" }
                 });
                 // `.expect("…")` documents its invariant; it stays legal
-                // in cone code outside the mutex-critical tier.
-                if callee == "expect" && !mutex_critical {
+                // in cone code outside the strict tier.
+                if callee == "expect" && !strict_tier {
                     continue;
                 }
                 let line = next(1).map_or(tok.line, |t| t.line);
-                let place = if mutex_critical {
-                    "a mutex-critical module"
+                let place = if strict_tier {
+                    "a strict-tier hot-path module"
                 } else {
                     "the hot-path cone"
                 };
@@ -132,8 +129,8 @@ pub fn check(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
                     line,
                     rule: RULE_PANIC,
                     message: format!("`.{callee}()` on {place}"),
-                    hint: "propagate via Result/Option (a mid-pass panic poisons the scheduler \
-                           lock); if a panic is genuinely right, justify with an allow-marker"
+                    hint: "propagate via Result/Option (a mid-pass panic aborts the routing); \
+                           if a panic is genuinely right, justify with an allow-marker"
                         .to_string(),
                 });
             }
@@ -200,7 +197,7 @@ mod tests {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
         assert!(lint_source("crates/fpga/src/width.rs", src).is_empty());
         let test_src = "#[cfg(test)]\nmod tests {\n fn t() { Some(1).unwrap(); }\n}\n";
-        assert!(lint_source("crates/fpga/src/sched.rs", test_src).is_empty());
+        assert!(lint_source("crates/fpga/src/pathfinder.rs", test_src).is_empty());
     }
 
     #[test]

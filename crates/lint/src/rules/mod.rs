@@ -5,6 +5,5 @@
 pub mod commit_path;
 pub mod determinism;
 pub mod hygiene;
-pub mod readset;
 pub mod telemetry;
 pub mod weights;

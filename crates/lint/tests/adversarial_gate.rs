@@ -42,13 +42,8 @@ fn order_nets(pending: &HashMap<u32, Net>) -> Vec<u32> {
 /// Stubs for the other pinned entry points, so the scratch workspace
 /// carries no `determinism-cone` (missing anchor) diagnostics and the
 /// only difference between bad and good runs is the seeded bug.
-const PARALLEL_STUB: &str = "
-pub fn route_pass_parallel() {}
-pub fn speculate() {}
-pub fn commit_one() {}
-";
-const SCHED_STUB: &str = "
-pub fn route_pass_wavefront() {}
+const ROUTER_STUB: &str = "
+pub fn route_classified() {}
 ";
 const DIJKSTRA_STUB: &str = "
 pub fn run() {}
@@ -71,8 +66,7 @@ impl Scratch {
         let _ = std::fs::remove_dir_all(&root);
         for (rel, body) in [
             ("crates/fpga/src/pathfinder.rs", pathfinder),
-            ("crates/fpga/src/parallel.rs", PARALLEL_STUB),
-            ("crates/fpga/src/sched.rs", SCHED_STUB),
+            ("crates/fpga/src/router.rs", ROUTER_STUB),
             ("crates/graph/src/dijkstra.rs", DIJKSTRA_STUB),
         ] {
             let path = root.join(rel);

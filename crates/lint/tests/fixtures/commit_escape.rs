@@ -1,7 +1,8 @@
-//! Fixture: publishing to the shared pass graph from outside the
-//! scheduler commit paths. Linted as `crates/fpga/src/commit_escape.rs`;
-//! must fire `commit-path-mutation` exactly once.
+//! Fixture: repricing the PathFinder snapshot from outside its
+//! single-writer cost-update phase. Linted as
+//! `crates/fpga/src/commit_escape.rs`; must fire `commit-path-mutation`
+//! exactly once.
 
-pub fn sneak_commit(shared: &SharedPassGraph, seq: u64) {
-    shared.publish(seq);
+pub fn sneak_reprice(priced: &mut Graph) {
+    priced.reprice_edges(|_, _, _, w| w);
 }

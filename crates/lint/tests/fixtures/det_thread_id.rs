@@ -1,6 +1,6 @@
-//! Known-bad fixture: thread identity leaking into routing behavior
-//! outside the scheduler assignment layer. Seeding tie-breaks from the
-//! thread id makes results depend on which worker picked up the net.
+//! Known-bad fixture: thread identity leaking into routing behavior.
+//! Seeding tie-breaks from the thread id makes results depend on which
+//! worker picked up the net.
 
 pub fn tie_break_seed() -> u64 {
     let id = thread::current().id();

@@ -5,7 +5,7 @@
 
 use std::path::Path;
 
-use fpga_lint::rules::{commit_path, determinism, hygiene, readset, telemetry, weights};
+use fpga_lint::rules::{commit_path, determinism, hygiene, telemetry, weights};
 use fpga_lint::{lint_source, Diagnostic, MARKER_RULE};
 
 /// Reads a fixture from `tests/fixtures/`.
@@ -42,24 +42,14 @@ fn assert_fires_once(name: &str, logical: &str, rule: &str) -> Diagnostic {
 }
 
 #[test]
-fn readset_discipline_fires_on_unvetted_entry_point_call() {
-    let d = assert_fires_once(
-        "readset_escape.rs",
-        "crates/fpga/src/readset_escape.rs",
-        readset::RULE,
-    );
-    assert_eq!(d.line, 7, "diagnostic anchors to the call line");
-    assert!(d.message.contains("ShortestPaths::run"));
-}
-
-#[test]
-fn commit_path_mutation_fires_on_publish_outside_scheduler() {
+fn commit_path_mutation_fires_on_repricing_outside_pathfinder() {
     let d = assert_fires_once(
         "commit_escape.rs",
         "crates/fpga/src/commit_escape.rs",
         commit_path::RULE,
     );
-    assert!(d.message.contains("publish"));
+    assert_eq!(d.line, 7, "diagnostic anchors to the call line");
+    assert!(d.message.contains("reprice_edges"));
 }
 
 #[test]
@@ -169,16 +159,13 @@ fn determinism_wall_clock_fires_on_instant_now() {
 }
 
 #[test]
-fn determinism_thread_id_fires_outside_the_scheduler_layer() {
+fn determinism_thread_id_fires_on_thread_identity_seeding() {
     let d = assert_fires_once(
         "det_thread_id.rs",
         "crates/fpga/src/det_thread_id.rs",
         determinism::RULE_THREAD,
     );
     assert_eq!(d.line, 6, "diagnostic anchors to thread::current");
-    // The identical source inside the scheduler assignment layer is
-    // legal: work distribution is identity-dependent by design.
-    assert!(lint_source("crates/fpga/src/sched.rs", &fixture("det_thread_id.rs")).is_empty());
 }
 
 #[test]
@@ -210,7 +197,7 @@ fn clean_sources_stay_clean_under_the_same_logical_paths() {
     // The inverse direction: a compliant version of each fixture yields
     // nothing, so the assertions above measure the defect, not the path.
     assert!(lint_source(
-        "crates/fpga/src/readset_escape.rs",
+        "crates/fpga/src/commit_escape.rs",
         "pub fn noop() {}\n"
     )
     .is_empty());

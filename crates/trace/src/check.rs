@@ -216,13 +216,12 @@ impl RecordCheck {
                         message: "profile record has no \"kind\" field".to_string(),
                     });
                 };
-                const KINDS: [SpanKind; 6] = [
+                const KINDS: [SpanKind; 5] = [
                     SpanKind::WidthSearch,
                     SpanKind::Attempt,
                     SpanKind::Pass,
                     SpanKind::Net,
                     SpanKind::Phase,
-                    SpanKind::Commit,
                 ];
                 if !KINDS.iter().any(|k| k.name() == name) {
                     return Err(CheckError {
@@ -248,7 +247,7 @@ impl RecordCheck {
                 Ok(())
             }
             "timeline" => {
-                for key in ["pass", "worker", "busy_ns", "nets", "steals", "stalls"] {
+                for key in ["pass", "worker", "busy_ns", "nets"] {
                     req_u64(&doc, "timeline", key)?;
                 }
                 Ok(())
@@ -488,10 +487,10 @@ mod tests {
             r#"{"type":"span","id":1,"parent":0,"kind":"pass","label":"pass","index":1,"start_ns":5,"end_ns":90,"thread":0}"#,
             r#"{"type":"counter","name":"nets_routed","value":3}"#,
             r#"{"type":"histogram","name":"net_route_ns","count":2,"sum":100,"mean":50,"p50":63,"p95":63,"p99":63,"max":60,"buckets":[[6,2]]}"#,
-            r#"{"type":"gauge","name":"sched_workers","value":4}"#,
+            r#"{"type":"gauge","name":"min_channel_width","value":4}"#,
             r#"{"type":"profile","kind":"pass","count":1,"inclusive_ns":85,"exclusive_ns":20}"#,
             r#"{"type":"convergence","iteration":1,"overcapacity":9,"history_milli":120,"nets_rerouted":4,"present_milli":250,"dirty_nets":6}"#,
-            r#"{"type":"timeline","pass":1,"worker":0,"role":"worker","busy_ns":70,"nets":2,"steals":0,"stalls":1}"#,
+            r#"{"type":"timeline","pass":1,"worker":0,"role":"pf-worker","busy_ns":70,"nets":2}"#,
             r#"{"type":"congestion","pass":1,"channel_width":4,"positions":2,"used_positions":2,"histogram":[0,1,1],"max_occupancy":2,"mean_occupancy_milli":1500,"saturated_positions":0,"overused_positions":0,"max_overuse":0}"#,
             r#"{"a":[1,2]}"#,
         ] {
@@ -533,7 +532,7 @@ mod tests {
             .unwrap_err();
         assert!(err.message.contains("end_ns"), "{}", err.message);
         let err = c
-            .line(r#"{"type":"timeline","pass":1,"worker":0,"busy_ns":1.5,"nets":0,"steals":0,"stalls":0}"#)
+            .line(r#"{"type":"timeline","pass":1,"worker":0,"busy_ns":1.5,"nets":0}"#)
             .unwrap_err();
         assert!(err.message.contains("busy_ns"), "{}", err.message);
         let err = c

@@ -8,12 +8,12 @@
 //!    (Dijkstra relaxations) stay at hardware speed.
 //! 2. **No contention when enabled.** Spans and counters land in a
 //!    per-thread buffer ([`LocalBuf`]); the shared state is touched only
-//!    when a buffer flushes — at thread exit for the parallel engine's
-//!    scoped workers (i.e. at batch commit, when the scope joins) and at
+//!    when a buffer flushes — at thread exit for scoped workers (PathFinder
+//!    route-phase workers and width probes, when their scope joins) and at
 //!    [`Collector::finish`] for the installing thread. Congestion
 //!    snapshots are once-per-pass, so they go straight to the shared side.
-//! 3. **Sound under worker churn.** The parallel engine spawns fresh
-//!    scoped threads per batch. Buffers attach lazily (first event) and
+//! 3. **Sound under worker churn.** PathFinder spawns fresh scoped
+//!    threads every iteration. Buffers attach lazily (first event) and
 //!    carry a generation stamp, so a stale buffer from a previous
 //!    collector session can never pollute the current one.
 
@@ -54,7 +54,7 @@ struct Shared {
     /// Once-per-iteration PathFinder convergence records; rare, so they
     /// go straight to the shared side like snapshots.
     convergence: Mutex<Vec<ConvergenceRecord>>,
-    /// Once-per-worker-per-pass scheduler timelines; same rarity rule.
+    /// Once-per-worker-per-iteration timelines; same rarity rule.
     timelines: Mutex<Vec<TimelineRecord>>,
     /// `true` when `stream` holds a sink — checked (relaxed) before
     /// taking the stream lock so non-streaming sessions pay one atomic
@@ -192,9 +192,9 @@ impl LocalBuf {
 }
 
 impl Drop for LocalBuf {
-    /// Worker threads (the parallel engine's scoped workers) exit when
-    /// their batch scope joins — right at commit time — and this drop is
-    /// what merges their buffers into the shared collector.
+    /// Scoped worker threads exit when their scope joins — at the end
+    /// of a PathFinder route phase or a width-probe wave — and this drop
+    /// is what merges their buffers into the shared collector.
     fn drop(&mut self) {
         self.flush();
     }
@@ -276,8 +276,8 @@ pub fn record_convergence(record: ConvergenceRecord) {
     }
 }
 
-/// Records one scheduler participant's per-pass timeline. Once per
-/// worker per pass, so it goes straight to the shared store.
+/// Records one worker's per-iteration timeline. Once per worker per
+/// iteration, so it goes straight to the shared store.
 pub fn record_timeline(record: TimelineRecord) {
     if !enabled() {
         return;

@@ -2,8 +2,8 @@
 //!
 //! Counters answer "*where does the router spend effort*" questions that
 //! wall-clock spans cannot: how many Dijkstra relaxations a pass cost, how
-//! many Steiner candidates IGMST priced versus accepted, how often the
-//! parallel engine's speculation survived commit. The set is a closed enum
+//! many Steiner candidates IGMST priced versus accepted, how many nets
+//! each PathFinder iteration rerouted. The set is a closed enum
 //! so increments compile to an array add with no hashing or allocation.
 
 /// One kind of countable algorithm event.
@@ -37,28 +37,15 @@ pub enum Counter {
     PfaDominanceChecks,
     /// Sink-to-dominated-node connections priced or built by DOM.
     DomConnections,
-    /// Whole nets routed (every attempt, speculative or sequential).
+    /// Whole nets routed (every attempt, in either routing mode).
     NetsRouted,
-    /// Working-graph clones taken (pass graphs and per-worker snapshots).
+    /// Working-graph clones taken (rip-up pass graphs and PathFinder's
+    /// priced snapshot).
     GraphSnapshotClones,
-    /// Copy-on-write overlay binds (one per worker per batch wave).
+    /// Copy-on-write overlay binds (PathFinder route-phase workers).
     OverlayBinds,
     /// O(1) overlay resets (generation bumps restoring the base state).
     OverlayResets,
-    /// Speculative routings committed unchanged by the conflict detector.
-    ConflictAccepts,
-    /// Speculative routings discarded and re-routed sequentially.
-    ConflictReroutes,
-    /// Ready nets taken from another worker's deque by an idle worker.
-    SchedSteals,
-    /// Times a scheduler worker found no ready net and parked.
-    SchedStalls,
-    /// Speculations rejected at commit and requeued against a fresh
-    /// commit sequence by the wavefront scheduler.
-    SchedRespeculations,
-    /// Per-terminal Dijkstra fan-outs (one per net whose distance runs
-    /// were spread across intra-net worker threads).
-    DijkstraFanouts,
     /// Negotiated-congestion iterations executed (route phase + cost
     /// update), converged or not.
     PathfinderIterations,
@@ -90,7 +77,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order (the dense index order).
-    pub const ALL: [Counter; 31] = [
+    pub const ALL: [Counter; 25] = [
         Counter::DijkstraRuns,
         Counter::DijkstraHeapPops,
         Counter::DijkstraRelaxations,
@@ -107,12 +94,6 @@ impl Counter {
         Counter::GraphSnapshotClones,
         Counter::OverlayBinds,
         Counter::OverlayResets,
-        Counter::ConflictAccepts,
-        Counter::ConflictReroutes,
-        Counter::SchedSteals,
-        Counter::SchedStalls,
-        Counter::SchedRespeculations,
-        Counter::DijkstraFanouts,
         Counter::PathfinderIterations,
         Counter::PathfinderOvercapacityNodes,
         Counter::PathfinderHistoryUpdates,
@@ -144,12 +125,6 @@ impl Counter {
             Counter::GraphSnapshotClones => "graph_snapshot_clones",
             Counter::OverlayBinds => "overlay_binds",
             Counter::OverlayResets => "overlay_resets",
-            Counter::ConflictAccepts => "conflict_accepts",
-            Counter::ConflictReroutes => "conflict_reroutes",
-            Counter::SchedSteals => "sched_steals",
-            Counter::SchedStalls => "sched_stalls",
-            Counter::SchedRespeculations => "sched_respeculations",
-            Counter::DijkstraFanouts => "dijkstra_fanouts",
             Counter::PathfinderIterations => "pathfinder_iterations",
             Counter::PathfinderOvercapacityNodes => "pathfinder_overcapacity_nodes",
             Counter::PathfinderHistoryUpdates => "pathfinder_history_updates",
@@ -233,10 +208,10 @@ mod tests {
         let mut b = CounterSet::new();
         a.add(Counter::NetsRouted, 2);
         b.add(Counter::NetsRouted, 5);
-        b.add(Counter::ConflictAccepts, 1);
+        b.add(Counter::OverlayBinds, 1);
         a.merge(&b);
         assert_eq!(a.get(Counter::NetsRouted), 7);
-        assert_eq!(a.get(Counter::ConflictAccepts), 1);
+        assert_eq!(a.get(Counter::OverlayBinds), 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! * **Spans** ([`span`]): timed, nested intervals mirroring the
 //!   hierarchy (`width_search > attempt > pass > net > phase`), safe to
-//!   record from the parallel engine's worker threads.
+//!   record from PathFinder's route-phase worker threads.
 //! * **Counters** ([`count`], [`Counter`]): dense tallies of algorithm
 //!   events — Dijkstra relaxations, Steiner candidate evaluations,
 //!   conflict-detector accepts — merged across threads.

@@ -5,7 +5,7 @@
 //! enough resolution for p50/p95/p99/max — and [`Gauge`]s answer "how
 //! big was it at its peak". Like [`Counter`](crate::Counter)s, workers
 //! record into thread-local [`HistogramSet`]/[`GaugeSet`] buffers that
-//! merge when a scope joins, so the parallel engines observe without
+//! merge when a scope joins, so PathFinder's route-phase workers observe without
 //! contention; both merge operations are commutative and associative,
 //! so the merged result is independent of worker join order (see
 //! DESIGN.md §5f for why that keeps traces deterministic).
@@ -13,7 +13,7 @@
 //! The module also defines the two rare-event record types the
 //! observability suite streams straight to the shared collector:
 //! [`ConvergenceRecord`] (one per PathFinder iteration) and
-//! [`TimelineRecord`] (one per scheduler worker per pass).
+//! [`TimelineRecord`] (one per PathFinder worker per iteration).
 
 /// A latency distribution tracked by the registry. Every variant's
 /// emitted name is in the README metric glossary; `trace-check` rejects
@@ -21,7 +21,7 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Metric {
-    /// Wall-clock of one whole-net route attempt (speculative or not).
+    /// Wall-clock of one whole-net route attempt.
     NetRouteNs,
     /// Wall-clock of one Dijkstra single-source run.
     DijkstraRunNs,
@@ -65,17 +65,14 @@ impl Metric {
 pub enum Gauge {
     /// Peak over-capacity node count across PathFinder iterations.
     PeakOvercapacityNodes,
-    /// Worker threads participating in the routing engine.
-    SchedWorkers,
     /// Minimum routable channel width found by the width search.
     MinChannelWidth,
 }
 
 impl Gauge {
     /// Every variant, in declaration (= discriminant) order.
-    pub const ALL: [Gauge; 3] = [
+    pub const ALL: [Gauge; 2] = [
         Gauge::PeakOvercapacityNodes,
-        Gauge::SchedWorkers,
         Gauge::MinChannelWidth,
     ];
 
@@ -84,7 +81,6 @@ impl Gauge {
     pub fn name(self) -> &'static str {
         match self {
             Gauge::PeakOvercapacityNodes => "peak_overcapacity_nodes",
-            Gauge::SchedWorkers => "sched_workers",
             Gauge::MinChannelWidth => "min_channel_width",
         }
     }
@@ -366,24 +362,20 @@ pub struct ConvergenceRecord {
     pub dirty_nets: usize,
 }
 
-/// One scheduler participant's occupancy for one pass: how much of its
-/// wall-clock went to useful work vs. steal/stall churn.
+/// One route-phase worker's occupancy for one PathFinder iteration: how
+/// much of the iteration's wall-clock it spent routing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TimelineRecord {
     /// 1-based pass (or PathFinder iteration) this timeline belongs to.
     pub pass: usize,
-    /// Worker index within the pass (committer uses its own role).
+    /// Worker index within the route phase.
     pub worker: usize,
-    /// `"worker"` or `"committer"`.
+    /// The participant's role (`"pf-worker"`).
     pub role: &'static str,
-    /// Nanoseconds spent doing useful work (routing or committing).
+    /// Nanoseconds spent routing.
     pub busy_ns: u64,
-    /// Nets routed (workers) or committed (committer) by this participant.
+    /// Nets this worker routed.
     pub nets: usize,
-    /// Ready nets this worker took from another worker's deque.
-    pub steals: usize,
-    /// Times this worker found no ready net and parked.
-    pub stalls: usize,
 }
 
 #[cfg(test)]
@@ -502,18 +494,18 @@ mod tests {
         let mut a = GaugeSet::new();
         let mut b = GaugeSet::new();
         assert!(a.is_empty());
-        assert_eq!(a.get(Gauge::SchedWorkers), None);
+        assert_eq!(a.get(Gauge::MinChannelWidth), None);
         a.set(Gauge::PeakOvercapacityNodes, 40);
         a.set(Gauge::PeakOvercapacityNodes, 12); // lower: slot keeps 40
         b.set(Gauge::PeakOvercapacityNodes, 55);
-        b.set(Gauge::SchedWorkers, 4);
+        b.set(Gauge::MinChannelWidth, 4);
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab, ba);
         assert_eq!(ab.get(Gauge::PeakOvercapacityNodes), Some(55));
-        assert_eq!(ab.get(Gauge::SchedWorkers), Some(4));
+        assert_eq!(ab.get(Gauge::MinChannelWidth), Some(4));
         assert_eq!(ab.iter_set().count(), 2);
     }
 }

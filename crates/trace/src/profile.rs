@@ -46,11 +46,10 @@ pub fn compute(spans: &[SpanRecord]) -> Vec<ProfileEntry> {
             *slot = slot.saturating_add(s.duration_ns());
         }
     }
-    const ORDER: [SpanKind; 6] = [
+    const ORDER: [SpanKind; 5] = [
         SpanKind::WidthSearch,
         SpanKind::Attempt,
         SpanKind::Pass,
-        SpanKind::Commit,
         SpanKind::Net,
         SpanKind::Phase,
     ];

@@ -122,20 +122,18 @@ pub fn render_report(jsonl: &str) -> Result<String, String> {
         let _ = writeln!(out, "\nscheduler timelines");
         let _ = writeln!(
             out,
-            "  {:>5} {:<10} {:>6} {:>12} {:>6} {:>7} {:>7}",
-            "pass", "role", "worker", "busy_ms", "nets", "steals", "stalls"
+            "  {:>5} {:<10} {:>6} {:>12} {:>6}",
+            "pass", "role", "worker", "busy_ms", "nets"
         );
         for t in &timelines {
             let _ = writeln!(
                 out,
-                "  {:>5} {:<10} {:>6} {:>12} {:>6} {:>7} {:>7}",
+                "  {:>5} {:<10} {:>6} {:>12} {:>6}",
                 get_u64(t, "pass"),
                 get_str(t, "role"),
                 get_u64(t, "worker"),
                 ms(get_u64(t, "busy_ns")),
                 get_u64(t, "nets"),
-                get_u64(t, "steals"),
-                get_u64(t, "stalls"),
             );
         }
     }
@@ -310,11 +308,11 @@ mod tests {
             "{\"type\":\"span\",\"id\":1,\"parent\":0,\"kind\":\"pass\",\"label\":\"pass\",\"index\":1,\"start_ns\":0,\"end_ns\":5000000,\"thread\":0}\n",
             "{\"type\":\"counter\",\"name\":\"nets_routed\",\"value\":9}\n",
             "{\"type\":\"histogram\",\"name\":\"net_route_ns\",\"count\":9,\"sum\":900,\"mean\":100,\"p50\":90,\"p95\":200,\"p99\":240,\"max\":250,\"buckets\":[[7,9]]}\n",
-            "{\"type\":\"gauge\",\"name\":\"sched_workers\",\"value\":4}\n",
+            "{\"type\":\"gauge\",\"name\":\"min_channel_width\",\"value\":4}\n",
             "{\"type\":\"profile\",\"kind\":\"pass\",\"count\":1,\"inclusive_ns\":5000000,\"exclusive_ns\":1000000}\n",
             "{\"type\":\"convergence\",\"iteration\":1,\"overcapacity\":14,\"history_milli\":70,\"nets_rerouted\":9,\"present_milli\":250,\"dirty_nets\":9}\n",
             "{\"type\":\"convergence\",\"iteration\":2,\"overcapacity\":3,\"history_milli\":140,\"nets_rerouted\":5,\"present_milli\":500,\"dirty_nets\":6}\n",
-            "{\"type\":\"timeline\",\"pass\":1,\"worker\":0,\"role\":\"worker\",\"busy_ns\":4000000,\"nets\":5,\"steals\":1,\"stalls\":2}\n",
+            "{\"type\":\"timeline\",\"pass\":1,\"worker\":0,\"role\":\"pf-worker\",\"busy_ns\":4000000,\"nets\":5}\n",
         );
         let report = render_report(jsonl).unwrap();
         assert!(report.contains("trace report (1 spans)"));
@@ -323,7 +321,7 @@ mod tests {
         assert!(report.contains("latency histograms"));
         assert!(report.contains("net_route_ns"));
         assert!(report.contains("gauges"));
-        assert!(report.contains("sched_workers"));
+        assert!(report.contains("min_channel_width"));
         assert!(report.contains("pathfinder convergence"));
         assert!(report.contains("scheduler timelines"));
         assert!(report.contains("counters"));

@@ -202,9 +202,7 @@ fn timeline_object(rec: &TimelineRecord) -> String {
         .u64("worker", rec.worker as u64)
         .str("role", rec.role)
         .u64("busy_ns", rec.busy_ns)
-        .u64("nets", rec.nets as u64)
-        .u64("steals", rec.steals as u64)
-        .u64("stalls", rec.stalls as u64);
+        .u64("nets", rec.nets as u64);
     o.finish()
 }
 
@@ -467,7 +465,7 @@ mod tests {
         let mut trace = sample_trace();
         trace.metrics.record(Metric::NetRouteNs, 1500);
         trace.metrics.record(Metric::NetRouteNs, 90);
-        trace.gauges.set(Gauge::SchedWorkers, 4);
+        trace.gauges.set(Gauge::PeakOvercapacityNodes, 4);
         trace.convergence.push(ConvergenceRecord {
             iteration: 1,
             overcapacity: 12,
@@ -479,11 +477,9 @@ mod tests {
         trace.timelines.push(TimelineRecord {
             pass: 1,
             worker: 0,
-            role: "worker",
+            role: "pf-worker",
             busy_ns: 700,
             nets: 2,
-            steals: 1,
-            stalls: 0,
         });
         trace.profile = crate::profile::compute(&trace.spans);
         trace
@@ -543,13 +539,13 @@ mod tests {
         assert!(text.contains("\"name\":\"net_route_ns\""));
         assert!(text.contains("\"p50\":"));
         assert!(text.contains("\"type\":\"gauge\""));
-        assert!(text.contains("\"name\":\"sched_workers\""));
+        assert!(text.contains("\"name\":\"peak_overcapacity_nodes\""));
         assert!(text.contains("\"type\":\"profile\""));
         assert!(text.contains("\"inclusive_ns\":"));
         assert!(text.contains("\"type\":\"convergence\""));
         assert!(text.contains("\"present_milli\":250"));
         assert!(text.contains("\"type\":\"timeline\""));
-        assert!(text.contains("\"role\":\"worker\""));
+        assert!(text.contains("\"role\":\"pf-worker\""));
     }
 
     #[test]
@@ -559,7 +555,7 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         validate(text.trim_end()).unwrap();
         assert!(text.contains("\"histograms\":["));
-        assert!(text.contains("\"gauges\":{\"sched_workers\":4}"));
+        assert!(text.contains("\"gauges\":{\"peak_overcapacity_nodes\":4}"));
         assert!(text.contains("\"profile\":["));
         assert!(text.contains("\"convergence\":["));
         assert!(text.contains("\"timelines\":["));
@@ -570,7 +566,7 @@ mod tests {
         let s = observability_trace().summary();
         assert!(s.contains("net_route_ns"));
         assert!(s.contains("p95="));
-        assert!(s.contains("sched_workers"));
+        assert!(s.contains("peak_overcapacity_nodes"));
     }
 
     #[test]

@@ -16,14 +16,10 @@ pub enum SpanKind {
     Attempt,
     /// One routing pass over the net order.
     Pass,
-    /// One net's routing (speculative or sequential).
+    /// One net's routing.
     Net,
     /// One heuristic construction phase within a net.
     Phase,
-    /// The wavefront committer handling one net in order: the commit-lag
-    /// window from "net is next to commit" to "commit applied", covering
-    /// any wait for its speculation and any re-speculation rounds.
-    Commit,
 }
 
 impl SpanKind {
@@ -36,7 +32,6 @@ impl SpanKind {
             SpanKind::Pass => "pass",
             SpanKind::Net => "net",
             SpanKind::Phase => "phase",
-            SpanKind::Commit => "commit",
         }
     }
 }

@@ -1,18 +1,23 @@
-//! Route the same circuit with the sequential and the parallel engine and
-//! show they agree bit-for-bit, along with the per-pass batching counters.
+//! The two places the router uses threads, and how each stays
+//! bit-identical to its single-threaded run.
 //!
-//! The parallel engine (`RouterConfig::threads >= 2`) splits each pass
-//! into batches of spatially disjoint nets, routes a batch speculatively
-//! on scoped worker threads against a snapshot of the pass graph, and
-//! commits in order with conflict detection — so its results are
-//! indistinguishable from the sequential router's.
+//! * **PathFinder's route phase** (`RouteMode::Pathfinder`,
+//!   `RouterConfig::threads`): every iteration routes its nets against
+//!   one immutable priced snapshot, so the nets split across workers and
+//!   the trees come out identical for any thread count.
+//! * **The parallel width search** (`minimum_channel_width_parallel`):
+//!   each probed width builds its own device and routes on its own
+//!   thread; the smallest routable width wins, as in a linear scan.
+//!
+//! Rip-up routes one net at a time whatever `threads` says.
 //!
 //! Run with: `cargo run --release --example parallel_route [threads] [width]`
-//! (widths that are too narrow show the engines agreeing on failure too).
+//! (widths too narrow for PathFinder show both thread counts agreeing on
+//! the failure too).
 
 use fpga_route::fpga::synth::{synthesize, xc4000_profiles};
-use fpga_route::fpga::width::minimum_channel_width_parallel;
-use fpga_route::fpga::{ArchSpec, Device, Router, RouterConfig};
+use fpga_route::fpga::width::{minimum_channel_width, minimum_channel_width_parallel, WidthSearch};
+use fpga_route::fpga::{ArchSpec, Device, RouteMode, Router, RouterConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let threads: usize = std::env::args()
@@ -32,72 +37,57 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let circuit = synthesize(&profile, 2, 1995)?;
     let device = Device::new(ArchSpec::xilinx4000(profile.rows, profile.cols, width))?;
 
-    let sequential = Router::new(&device, RouterConfig::default()).route(&circuit);
-    let parallel = Router::new(
-        &device,
-        RouterConfig {
-            threads,
-            ..RouterConfig::default()
-        },
-    )
-    .route(&circuit);
+    let pathfinder = |threads: usize| RouterConfig {
+        mode: RouteMode::Pathfinder,
+        pf_selective: true,
+        threads,
+        ..RouterConfig::default()
+    };
+    let one = Router::new(&device, pathfinder(1)).route(&circuit);
+    let many = Router::new(&device, pathfinder(threads)).route(&circuit);
 
     println!(
-        "{}: {} nets, W = {width}, threads = {threads}",
+        "{}: {} nets, W = {width}, selective PathFinder at 1 and {threads} thread(s)",
         circuit.name(),
         circuit.net_count()
     );
-    match (sequential, parallel) {
-        (Ok(sequential), Ok(parallel)) => {
+    match (one, many) {
+        (Ok(one), Ok(many)) => {
+            assert_eq!(one.trees, many.trees);
             println!(
-                "sequential: {} passes, wirelength {}",
-                sequential.passes, sequential.total_wirelength
+                "converged in {} iterations, wirelength {}; trees identical: true",
+                many.passes, many.total_wirelength
             );
-            println!(
-                "parallel:   {} passes, wirelength {}",
-                parallel.passes, parallel.total_wirelength
-            );
-            assert_eq!(sequential.trees, parallel.trees);
-            println!("routed trees are identical: true");
-            for t in &parallel.telemetry.passes {
+            for t in &many.telemetry.passes {
                 println!(
-                    "  pass {}: {:>4} batches, {:>3} speculated, {:>3} accepted, {:>3} rerouted, {:.1?}, max occupancy {}/{}",
-                    t.pass,
-                    t.batches,
-                    t.speculated,
-                    t.accepted,
-                    t.rerouted,
-                    t.elapsed,
-                    t.congestion.max_occupancy,
-                    t.congestion.channel_width
+                    "  iteration {:>2}: {:>3} nets routed, {:>3} over capacity, {:.1?}",
+                    t.pass, t.dirty_nets, t.overcapacity, t.elapsed
                 );
             }
         }
-        (Err(s), Err(p)) => {
-            println!("both engines report unroutable at W = {width}:");
-            println!("  sequential: {s}");
-            println!("  parallel:   {p}");
+        (Err(one), Err(many)) => {
+            assert_eq!(one.to_string(), many.to_string());
+            println!("both thread counts report unroutable at W = {width}: {many}");
         }
-        (seq, par) => {
-            panic!("engines disagree: sequential {seq:?} vs parallel {par:?}");
+        (one, many) => {
+            panic!("thread counts disagree: 1 thread {one:?} vs {threads} threads {many:?}");
         }
     }
 
-    // The width search can probe channel widths concurrently too.
+    // The width search probes up to `threads` widths at once and finds
+    // the width a sequential linear scan finds.
     let base = ArchSpec::xilinx4000(profile.rows, profile.cols, 4);
-    let found = minimum_channel_width_parallel(base, 4..=16, threads, |device| {
-        Router::new(
-            device,
-            RouterConfig {
-                max_passes: 8,
-                ..RouterConfig::default()
-            },
-        )
-        .route(&circuit)
-    })?;
+    let ripup = RouterConfig {
+        max_passes: 8,
+        ..RouterConfig::default()
+    };
+    let route = |device: &Device| Router::new(device, ripup.clone()).route(&circuit);
+    let linear = minimum_channel_width(base, 4..=16, WidthSearch::Linear, route)?;
+    let parallel = minimum_channel_width_parallel(base, 4..=16, threads, route)?;
+    assert_eq!(linear.channel_width, parallel.channel_width);
     println!(
-        "minimum channel width: {} ({} probe attempts)",
-        found.channel_width, found.attempts
+        "minimum channel width: {} ({} probes in waves of {threads}, {} probes linearly)",
+        parallel.channel_width, parallel.attempts, linear.attempts
     );
     Ok(())
 }

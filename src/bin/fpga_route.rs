@@ -3,17 +3,15 @@
 //! ```text
 //! fpga-route profiles
 //! fpga-route route --circuit term1 --arch 4000 --width 9 [--algorithm ikmb]
-//!                  [--seed 1995] [--passes 10] [--threads 0] [--scheduler wavefront]
+//!                  [--seed 1995] [--passes 10] [--threads 0]
 //!                  [--mode ripup] [--pf-iterations 50] [--pf-selective]
 //!                  [--pf-stale-slack-milli 8000] [--pf-history-decay-milli 0]
-//!                  [--spec-exit-misses 4] [--spec-probe-period 32]
 //!                  [--svg out.svg] [--trace out.jsonl] [--metrics]
 //! fpga-route width --circuit term1 --arch 4000 [--min 3] [--max 24]
 //!                  [--algorithm ikmb] [--baseline] [--threads 0]
-//!                  [--scheduler wavefront] [--mode ripup] [--pf-iterations 50]
+//!                  [--mode ripup] [--pf-iterations 50]
 //!                  [--pf-selective] [--pf-stale-slack-milli 8000]
 //!                  [--pf-history-decay-milli 0]
-//!                  [--spec-exit-misses 4] [--spec-probe-period 32]
 //!                  [--probe-threads 0] [--trace out.jsonl] [--metrics]
 //! fpga-route net --rows 20 --cols 20 --pins 5 [--algorithm idom] [--seed 7]
 //! fpga-route trace-check <file.jsonl>
@@ -33,7 +31,7 @@ use fpga_route::fpga::width::{
 };
 use fpga_route::fpga::{
     viz, ArchSpec, BaselineConfig, BaselineRouter, Device, RouteAlgorithm, RouteMode, Router,
-    RouterConfig, SchedulerKind,
+    RouterConfig,
 };
 use fpga_route::graph::{GridGraph, Weight};
 use fpga_route::steiner::metrics::{measure, optimal_max_pathlength};
@@ -59,32 +57,28 @@ usage:
   fpga-route profiles
   fpga-route route --circuit <name> --arch <3000|4000> --width <W>
                    [--algorithm <name>] [--seed <n>] [--passes <n>] [--threads <n>]
-                   [--scheduler <wavefront|batch>] [--mode <ripup|pathfinder>]
+                   [--mode <ripup|pathfinder>]
                    [--pf-iterations <n>] [--pf-selective]
                    [--pf-stale-slack-milli <n>] [--pf-history-decay-milli <n>]
-                   [--spec-exit-misses <n>] [--spec-probe-period <n>]
                    [--svg <file>] [--trace <file>] [--stream] [--metrics]
   fpga-route width --circuit <name> --arch <3000|4000>
                    [--min <W>] [--max <W>] [--algorithm <name>] [--baseline]
-                   [--threads <n>] [--scheduler <wavefront|batch>]
+                   [--threads <n>]
                    [--mode <ripup|pathfinder>] [--pf-iterations <n>]
                    [--pf-selective] [--pf-stale-slack-milli <n>]
                    [--pf-history-decay-milli <n>]
-                   [--spec-exit-misses <n>] [--spec-probe-period <n>]
                    [--probe-threads <n>] [--trace <file>] [--stream] [--metrics]
   fpga-route net   --rows <n> --cols <n> --pins <n> [--algorithm <name>] [--seed <n>]
   fpga-route trace-check <file.jsonl>
   fpga-route trace-report <file.jsonl>
   fpga-route bench-diff <before.json> <after.json> [--threshold <pct>] [--warn-only]
 
---threads: routing workers; 0 = automatic (sequential for small or
-           few-large-net circuits, one worker per available core otherwise)
---scheduler: parallel engine when --threads > 1; wavefront (default) overlaps
-             commit with speculation via a conflict DAG and work stealing,
-             batch is the lockstep baseline — results are bit-identical
+--threads: pathfinder route-phase workers; 0 = automatic (one thread for
+           small or few-large-net circuits, one worker per available core
+           otherwise). ripup always routes one net at a time
 --mode: congestion strategy; ripup (default) tears up and reroutes blocked
         nets, pathfinder negotiates via present + history pricing with
-        fully-parallel iterations — bit-identical across thread counts
+        parallel route phases — bit-identical across thread counts
 --pf-iterations: pathfinder iteration budget before reporting unroutable
 --pf-selective: pathfinder dirty-net mode — only nets touching over-capacity
                 nodes (or gone stale) reroute each iteration, with delta
@@ -114,14 +108,11 @@ const ROUTE_FLAGS: FlagSpec = &[
     ("seed", true),
     ("passes", true),
     ("threads", true),
-    ("scheduler", true),
     ("mode", true),
     ("pf-iterations", true),
     ("pf-selective", false),
     ("pf-stale-slack-milli", true),
     ("pf-history-decay-milli", true),
-    ("spec-exit-misses", true),
-    ("spec-probe-period", true),
     ("svg", true),
     ("trace", true),
     ("stream", false),
@@ -137,14 +128,11 @@ const WIDTH_FLAGS: FlagSpec = &[
     ("passes", true),
     ("baseline", false),
     ("threads", true),
-    ("scheduler", true),
     ("mode", true),
     ("pf-iterations", true),
     ("pf-selective", false),
     ("pf-stale-slack-milli", true),
     ("pf-history-decay-milli", true),
-    ("spec-exit-misses", true),
-    ("spec-probe-period", true),
     ("probe-threads", true),
     ("trace", true),
     ("stream", false),
@@ -262,16 +250,6 @@ fn algorithm(flags: &HashMap<String, String>) -> Result<RouteAlgorithm, Box<dyn 
         "pfa" => Ok(RouteAlgorithm::Pfa),
         "idom" => Ok(RouteAlgorithm::Idom),
         other => Err(format!("unknown algorithm `{other}`").into()),
-    }
-}
-
-fn scheduler(flags: &HashMap<String, String>) -> Result<SchedulerKind, Box<dyn Error>> {
-    match flags.get("scheduler").map(String::as_str) {
-        None | Some("wavefront") => Ok(SchedulerKind::Wavefront),
-        Some("batch") => Ok(SchedulerKind::Batch),
-        Some(other) => {
-            Err(format!("unknown scheduler `{other}` (use wavefront or batch)").into())
-        }
     }
 }
 
@@ -437,7 +415,6 @@ fn cmd_route(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         algorithm: algorithm(flags)?,
         max_passes: passes,
         threads,
-        scheduler: scheduler(flags)?,
         mode: mode(flags)?,
         pf_max_iterations: get_usize(flags, "pf-iterations", Some(defaults.pf_max_iterations))?,
         pf_selective: flags.contains_key("pf-selective"),
@@ -451,8 +428,6 @@ fn cmd_route(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
             "pf-history-decay-milli",
             defaults.pf_history_decay_milli,
         )?,
-        spec_exit_misses: get_usize(flags, "spec-exit-misses", Some(defaults.spec_exit_misses))?,
-        spec_probe_period: get_usize(flags, "spec-probe-period", Some(defaults.spec_probe_period))?,
         ..defaults
     };
     let collector = maybe_collector(flags)?;
@@ -499,7 +474,6 @@ fn cmd_width(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     let base = arch_for(flags, &profile, min)?;
     let use_baseline = flags.contains_key("baseline");
     let algo = algorithm(flags)?;
-    let sched = scheduler(flags)?;
     let route_mode = mode(flags)?;
     let defaults = RouterConfig::default();
     let pf_max_iterations = get_usize(flags, "pf-iterations", Some(defaults.pf_max_iterations))?;
@@ -511,8 +485,6 @@ fn cmd_width(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         "pf-history-decay-milli",
         defaults.pf_history_decay_milli,
     )?;
-    let spec_exit_misses = get_usize(flags, "spec-exit-misses", Some(defaults.spec_exit_misses))?;
-    let spec_probe_period = get_usize(flags, "spec-probe-period", Some(defaults.spec_probe_period))?;
     let route = |device: &Device| {
         if use_baseline {
             BaselineRouter::new(
@@ -530,14 +502,11 @@ fn cmd_width(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
                     algorithm: algo,
                     max_passes: passes,
                     threads,
-                    scheduler: sched,
                     mode: route_mode,
                     pf_max_iterations,
                     pf_selective,
                     pf_stale_slack_milli,
                     pf_history_decay_milli,
-                    spec_exit_misses,
-                    spec_probe_period,
                     ..RouterConfig::default()
                 },
             )
@@ -803,17 +772,18 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_names_resolve() {
-        assert_eq!(scheduler(&flags(&[])).unwrap(), SchedulerKind::Wavefront);
-        assert_eq!(
-            scheduler(&flags(&[("scheduler", "wavefront")])).unwrap(),
-            SchedulerKind::Wavefront
-        );
-        assert_eq!(
-            scheduler(&flags(&[("scheduler", "batch")])).unwrap(),
-            SchedulerKind::Batch
-        );
-        assert!(scheduler(&flags(&[("scheduler", "bogus")])).is_err());
+    fn removed_speculation_flags_are_rejected() {
+        for (command, spec) in [("route", ROUTE_FLAGS), ("width", WIDTH_FLAGS)] {
+            for flag in ["scheduler", "spec-exit-misses", "spec-probe-period"] {
+                let err = parse_flags(&[format!("--{flag}"), "1".into()], command, spec)
+                    .unwrap_err()
+                    .to_string();
+                assert!(
+                    err.contains(&format!("unknown flag `--{flag}`")),
+                    "{command} --{flag}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

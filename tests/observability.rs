@@ -3,15 +3,15 @@
 //! The suite's contract has two halves. First, observation must not
 //! perturb: installing a trace collector changes nothing about a
 //! routing result — same trees, same wirelength, same pass count — for
-//! either routing mode and either scheduler. Second, observation must
-//! be complete: a traced parallel run emits every record type the suite
-//! defines (histograms, gauges, profile, convergence, timelines), all
-//! of it valid under `trace-check`'s record validator and renderable by
-//! `trace-report`.
+//! either routing mode at any thread count. Second, observation must be
+//! complete: a traced parallel PathFinder run emits every record type the
+//! suite defines (histograms, gauges, profile, convergence, timelines),
+//! all of it valid under `trace-check`'s record validator and renderable
+//! by `trace-report`.
 
 use fpga_route::fpga::synth::{synthesize, CircuitProfile};
 use fpga_route::fpga::{
-    ArchSpec, Circuit, Device, RouteMode, RouteOutcome, Router, RouterConfig, SchedulerKind,
+    ArchSpec, Circuit, Device, RouteMode, RouteOutcome, Router, RouterConfig,
 };
 use fpga_route::trace::check::RecordCheck;
 use fpga_route::trace::report::render_report;
@@ -52,10 +52,9 @@ fn route(device: &Device, config: RouterConfig) -> RouteOutcome {
         .expect("tiny circuit routes at a generous width")
 }
 
-fn config(mode: RouteMode, scheduler: SchedulerKind, threads: usize) -> RouterConfig {
+fn config(mode: RouteMode, threads: usize) -> RouterConfig {
     RouterConfig {
         mode,
-        scheduler,
         threads,
         ..RouterConfig::default()
     }
@@ -74,18 +73,18 @@ fn assert_identical(bare: &RouteOutcome, traced: &RouteOutcome, context: &str) {
 fn instrumentation_does_not_perturb_routing_results() {
     let _gate = serial();
     let device = tiny_device(8);
-    for (mode, scheduler, threads) in [
-        (RouteMode::RipUp, SchedulerKind::Wavefront, 2),
-        (RouteMode::RipUp, SchedulerKind::Batch, 2),
-        (RouteMode::Pathfinder, SchedulerKind::Wavefront, 2),
-        (RouteMode::Pathfinder, SchedulerKind::Batch, 2),
-        (RouteMode::Pathfinder, SchedulerKind::Wavefront, 0),
+    for (mode, threads) in [
+        (RouteMode::RipUp, 1),
+        (RouteMode::RipUp, 2),
+        (RouteMode::Pathfinder, 1),
+        (RouteMode::Pathfinder, 2),
+        (RouteMode::Pathfinder, 0),
     ] {
-        let bare = route(&device, config(mode, scheduler, threads));
+        let bare = route(&device, config(mode, threads));
         let collector = Collector::install();
-        let traced = route(&device, config(mode, scheduler, threads));
+        let traced = route(&device, config(mode, threads));
         let trace = collector.finish();
-        let context = format!("{mode:?}/{}/threads {threads}", scheduler.name());
+        let context = format!("{mode:?}/threads {threads}");
         assert_identical(&bare, &traced, &context);
         assert!(
             trace.summary().contains("telemetry summary"),
@@ -108,10 +107,7 @@ fn traced_jsonl(device: &Device, config: RouterConfig) -> String {
 fn traced_pathfinder_run_emits_every_observability_record_type() {
     let _gate = serial();
     let device = tiny_device(8);
-    let jsonl = traced_jsonl(
-        &device,
-        config(RouteMode::Pathfinder, SchedulerKind::Wavefront, 2),
-    );
+    let jsonl = traced_jsonl(&device, config(RouteMode::Pathfinder, 2));
     for record_type in ["histogram", "gauge", "profile", "convergence", "timeline"] {
         assert!(
             jsonl.contains(&format!("\"type\":\"{record_type}\"")),
@@ -148,20 +144,56 @@ fn traced_pathfinder_run_emits_every_observability_record_type() {
 }
 
 #[test]
-fn traced_ripup_wavefront_run_emits_worker_timelines() {
+fn traced_ripup_run_records_commits_and_no_worker_timelines() {
+    // Rip-up routes one net at a time at any thread count: its trace
+    // carries commit latencies but no worker timelines.
     let _gate = serial();
     let device = tiny_device(8);
-    let jsonl = traced_jsonl(&device, config(RouteMode::RipUp, SchedulerKind::Wavefront, 2));
-    for needle in [
-        "\"type\":\"timeline\"",
-        "\"role\":\"committer\"",
-        "\"name\":\"sched_workers\"",
-        "\"name\":\"commit_apply_ns\"",
-    ] {
-        assert!(jsonl.contains(needle), "trace is missing {needle}:\n{jsonl}");
-    }
+    let jsonl = traced_jsonl(&device, config(RouteMode::RipUp, 2));
+    assert!(
+        jsonl.contains("\"name\":\"commit_apply_ns\""),
+        "trace is missing commit latencies:\n{jsonl}"
+    );
+    assert!(
+        !jsonl.contains("\"type\":\"timeline\""),
+        "rip-up spawned routing workers:\n{jsonl}"
+    );
     let mut check = RecordCheck::new();
     for line in jsonl.lines() {
         check.line(line).expect("every emitted record validates");
+    }
+}
+
+#[test]
+fn selective_pathfinder_spawns_no_more_workers_than_nets() {
+    // Selective mode's dirty set shrinks to a few nets while converging;
+    // a route phase must not spawn workers with nothing to route, and
+    // the worker count must stay invisible in the trees.
+    let _gate = serial();
+    let device = tiny_device(8);
+    let selective = |threads| RouterConfig {
+        pf_selective: true,
+        ..config(RouteMode::Pathfinder, threads)
+    };
+    let sequential = route(&device, selective(1));
+    let collector = Collector::install();
+    let wide = route(&device, selective(64));
+    let trace = collector.finish();
+    assert_eq!(wide.trees, sequential.trees);
+    assert_eq!(wide.passes, sequential.passes);
+    assert!(wide.passes >= 2, "the tiny circuit must negotiate");
+    for pass in &wide.telemetry.passes {
+        let workers = trace
+            .timelines
+            .iter()
+            .filter(|t| t.role == "pf-worker" && t.pass == pass.pass)
+            .count();
+        assert!(workers >= 1, "iteration {} recorded no worker", pass.pass);
+        assert!(
+            workers <= pass.dirty_nets,
+            "iteration {} routed {} nets on {workers} workers",
+            pass.pass,
+            pass.dirty_nets
+        );
     }
 }

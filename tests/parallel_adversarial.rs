@@ -1,22 +1,21 @@
-//! Adversarial property tests for the parallel engines' conflict
-//! handling.
+//! Adversarial determinism tests for PathFinder's parallel route phase.
 //!
-//! Both parallel engines are only allowed to win wall-clock time; their
-//! results must be bit-identical to the sequential router's. The
-//! friendliest inputs are circuits whose nets occupy disjoint regions —
-//! speculation commits without conflicts and the detector is barely
-//! exercised. These tests do the opposite: nets are constructed so that
-//! bounding boxes overlap maximally (every speculation stale) or so that
-//! box-disjoint nets still collide through congestion detours (the
-//! detector must catch what the boxes miss). Across seeded pin
-//! assignments, thread counts, and both schedulers, the parallel outcome
-//! must still match the sequential one exactly — trees, pass counts,
-//! wirelength, and the end-of-pass congestion snapshots.
+//! Negotiated congestion routes every net of an iteration against one
+//! priced snapshot, split across worker threads, so its results must be
+//! bit-identical for every thread count. The friendliest inputs are
+//! circuits whose nets occupy disjoint regions and barely negotiate.
+//! These tests do the opposite: every net's bounding box covers the whole
+//! array, so nets contend for the same channels, the negotiation runs
+//! many iterations, and selective mode's dirty set changes shape from one
+//! iteration to the next. Across seeded pin assignments, both PathFinder
+//! modes and threads 2, 4 and 8, the outcome must match threads = 1
+//! exactly — trees, iteration counts, wirelength, the per-iteration
+//! congestion snapshots, and the unroutable verdict.
 
 use fpga_route::fpga::synth::synthesize;
 use fpga_route::fpga::{
-    ArchSpec, BlockPin, Circuit, CircuitNet, Device, FpgaError, RouteOutcome, Router, RouterConfig,
-    SchedulerKind, Side,
+    ArchSpec, BlockPin, Circuit, CircuitNet, Device, FpgaError, RouteMode, RouteOutcome, Router,
+    RouterConfig, Side,
 };
 use fpga_route::graph::rng::{Rng, SliceRandom, SplitMix64};
 
@@ -73,49 +72,6 @@ fn adversarial_circuit(seed: u64, rows: usize, cols: usize, nets: usize) -> Circ
     Circuit::new("adversarial", rows, cols, circuit_nets).expect("pins are unique by construction")
 }
 
-/// Builds the nastiest known workload for the conflict detector: long
-/// vertical 2-pin nets packed into a few far-apart columns. The columns'
-/// bounding boxes are pairwise non-interacting, so nets from different
-/// columns speculate concurrently (batched together, or DAG-independent
-/// under the wavefront scheduler) — but the columns are oversubscribed
-/// (more nets than tracks at the probe width), so committed routes detour
-/// sideways into territory a concurrent speculation also claimed, going
-/// stale and forcing the engine's repair path.
-fn saturated_columns_circuit(seed: u64, rows: usize, cols: usize) -> Circuit {
-    let mut rng = SplitMix64::seed_from_u64(seed);
-    let mut nets = Vec::new();
-    for c in [0usize, 5] {
-        let mut pool: Vec<BlockPin> = Vec::new();
-        for r in 0..rows {
-            for side in [Side::North, Side::East, Side::South, Side::West] {
-                for slot in 0..2 {
-                    pool.push(BlockPin { row: r, col: c, side, slot });
-                }
-            }
-        }
-        pool.shuffle(&mut rng);
-        for _ in 0..6 {
-            let top = pool
-                .iter()
-                .position(|p| p.row < 2)
-                .expect("top pin available");
-            let top = pool.remove(top);
-            let bottom = pool
-                .iter()
-                .position(|p| p.row >= rows - 2)
-                .expect("bottom pin available");
-            let bottom = pool.remove(bottom);
-            let mut pins = vec![top, bottom];
-            if rng.gen_ratio(1, 2) {
-                pins.swap(0, 1);
-            }
-            nets.push(CircuitNet { pins });
-        }
-    }
-    nets.shuffle(&mut rng);
-    Circuit::new("saturated-columns", rows, cols, nets).expect("pins are unique by construction")
-}
-
 fn assert_identical(parallel: &RouteOutcome, sequential: &RouteOutcome, context: &str) {
     assert_eq!(parallel.trees, sequential.trees, "{context}");
     assert_eq!(parallel.passes, sequential.passes, "{context}");
@@ -137,23 +93,55 @@ fn assert_identical(parallel: &RouteOutcome, sequential: &RouteOutcome, context:
     assert_eq!(snapshots(parallel), snapshots(sequential), "{context}");
 }
 
-/// Every speculated net is resolved exactly once on a completed pass —
-/// accepted, re-routed (batch), or re-speculated (wavefront). A pass
-/// that ended at a failed net consumed that net's speculation without
-/// resolving it, so earlier (failed) passes only bound the sum.
-fn assert_speculation_accounting(outcome: &RouteOutcome, context: &str) {
-    let passes = &outcome.telemetry.passes;
-    for (i, t) in passes.iter().enumerate() {
-        let resolved = t.accepted + t.rerouted + t.respeculated;
-        if i + 1 == passes.len() {
-            assert_eq!(resolved, t.speculated, "{context}, pass {}", t.pass);
-        } else {
-            assert!(
-                resolved <= t.speculated,
-                "{context}, pass {}: {resolved} resolved of {} speculated",
-                t.pass,
-                t.speculated
-            );
+/// Routes `circuit` with PathFinder, full-reroute and selective, at
+/// threads 2, 4 and 8, and asserts each outcome matches the same mode at
+/// threads = 1. `base` supplies every other setting.
+fn assert_thread_count_invariant(
+    device: &Device,
+    circuit: &Circuit,
+    base: &RouterConfig,
+    context: &str,
+) {
+    for pf_selective in [false, true] {
+        let route = |threads: usize| {
+            let config = RouterConfig {
+                mode: RouteMode::Pathfinder,
+                pf_selective,
+                threads,
+                ..base.clone()
+            };
+            Router::new(device, config).route(circuit)
+        };
+        let sequential = route(1);
+        for threads in [2usize, 4, 8] {
+            let context = format!("{context}, selective {pf_selective}, threads {threads}");
+            match (route(threads), &sequential) {
+                (Ok(parallel), Ok(sequential)) => {
+                    assert_identical(&parallel, sequential, &context);
+                }
+                (
+                    Err(FpgaError::Unroutable {
+                        channel_width: wp,
+                        passes: pp,
+                        failed_net: np,
+                        overcapacity: op,
+                    }),
+                    Err(FpgaError::Unroutable {
+                        channel_width: ws,
+                        passes: ps,
+                        failed_net: ns,
+                        overcapacity: os,
+                    }),
+                ) => {
+                    assert_eq!(wp, *ws, "{context}");
+                    assert_eq!(pp, *ps, "{context}");
+                    assert_eq!(np, *ns, "{context}");
+                    assert_eq!(&op, os, "{context}");
+                }
+                (parallel, sequential) => {
+                    panic!("{context}: outcomes differ: {parallel:?} vs {sequential:?}")
+                }
+            }
         }
     }
 }
@@ -163,171 +151,43 @@ fn maximal_bbox_overlap_stays_bit_identical_across_thread_counts() {
     for seed in [1u64, 7, 42, 1995, 20010] {
         let circuit = adversarial_circuit(seed, 6, 6, 10);
         let device = Device::new(ArchSpec::xilinx4000(6, 6, 9)).unwrap();
-        let sequential = Router::new(&device, RouterConfig::default())
-            .route(&circuit)
-            .unwrap();
-        for scheduler in [SchedulerKind::Wavefront, SchedulerKind::Batch] {
-            for threads in [2usize, 4, 8] {
-                let parallel = Router::new(
-                    &device,
-                    RouterConfig {
-                        threads,
-                        scheduler,
-                        ..RouterConfig::default()
-                    },
-                )
-                .route(&circuit)
-                .unwrap();
-                let context = format!("seed {seed}, threads {threads}, {}", scheduler.name());
-                assert_identical(&parallel, &sequential, &context);
-                assert_speculation_accounting(&parallel, &context);
-            }
-        }
-    }
-}
-
-#[test]
-fn stale_speculations_reroute_and_stay_bit_identical() {
-    // The construction must actually be adversarial: across the seeds at
-    // least one stale speculation has to fall back to the batch engine's
-    // sequential re-route — and under exactly that pressure the parallel
-    // outcome must still match the sequential one bit for bit. (Per-seed
-    // reroute counts can legitimately be zero, so the pressure assertion
-    // spans the whole seed family.)
-    let mut rerouted = 0u64;
-    let mut speculated = 0u64;
-    for seed in 1u64..=10 {
-        let circuit = saturated_columns_circuit(seed, 8, 8);
-        let device = Device::new(ArchSpec::xilinx4000(8, 8, 3)).unwrap();
-        let sequential = Router::new(&device, RouterConfig::default())
-            .route(&circuit)
-            .unwrap();
-        let parallel = Router::new(
+        assert_thread_count_invariant(
             &device,
-            RouterConfig {
-                threads: 4,
-                scheduler: SchedulerKind::Batch,
-                ..RouterConfig::default()
-            },
-        )
-        .route(&circuit)
-        .unwrap();
-        assert_identical(&parallel, &sequential, &format!("columns seed {seed}"));
-        for t in &parallel.telemetry.passes {
-            rerouted += t.rerouted as u64;
-            speculated += t.speculated as u64;
-        }
+            &circuit,
+            &RouterConfig::default(),
+            &format!("seed {seed}"),
+        );
     }
-    assert!(
-        speculated > 0,
-        "no net was ever speculated; the workload is trivial"
-    );
-    assert!(
-        rerouted > 0,
-        "no speculation ever went stale; the workload does not stress the detector"
-    );
-}
-
-#[test]
-fn respeculated_nets_stay_bit_identical_across_thread_counts() {
-    // Same saturated-grid pressure against the wavefront scheduler: DAG-
-    // independent nets collide through congestion detours, the commit-time
-    // read-set check rejects the stale speculation, and the net re-enters
-    // the ready queue against a fresh commit sequence. Across the seed
-    // family at least one net must actually be re-speculated, and under
-    // that pressure every thread count must match threads = 1 bit for bit.
-    // Committer claims are disabled so every net goes through worker
-    // speculation — on a busy or small host the work-conserving committer
-    // would otherwise route most nets itself and starve the respeculation
-    // path this test exists to stress.
-    let mut respeculated = 0u64;
-    let mut speculated = 0u64;
-    for seed in 1u64..=10 {
-        let circuit = saturated_columns_circuit(seed, 8, 8);
-        let device = Device::new(ArchSpec::xilinx4000(8, 8, 3)).unwrap();
-        let sequential = Router::new(&device, RouterConfig::default())
-            .route(&circuit)
-            .unwrap();
-        for threads in [2usize, 4, 8] {
-            let parallel = Router::new(
-                &device,
-                RouterConfig {
-                    threads,
-                    scheduler: SchedulerKind::Wavefront,
-                    committer_claims: false,
-                    ..RouterConfig::default()
-                },
-            )
-            .route(&circuit)
-            .unwrap();
-            let context = format!("columns seed {seed}, threads {threads}");
-            assert_identical(&parallel, &sequential, &context);
-            assert_speculation_accounting(&parallel, &context);
-            for t in &parallel.telemetry.passes {
-                respeculated += t.respeculated as u64;
-                speculated += t.speculated as u64;
-                // The wavefront engine never takes the batch engine's
-                // sequential re-route path.
-                assert_eq!(t.rerouted, 0, "{context}, pass {}", t.pass);
-            }
-        }
-    }
-    assert!(
-        speculated > 0,
-        "no net was ever speculated; the workload is trivial"
-    );
-    assert!(
-        respeculated > 0,
-        "no speculation was ever requeued; the workload does not stress the scheduler"
-    );
 }
 
 #[test]
 fn overlapping_nets_agree_on_unroutability() {
-    // Determinism must extend to failure: at a hopeless width all engines
-    // report the same unroutable verdict, with identical pass budgets.
+    // Determinism must extend to failure: at a hopeless width every
+    // thread count reports the same unroutable verdict — same iteration
+    // budget, same failed net, same over-capacity nodes.
     let circuit = adversarial_circuit(3, 6, 6, 12);
     let device = Device::new(ArchSpec::xilinx4000(6, 6, 1)).unwrap();
     let config = RouterConfig {
-        max_passes: 3,
+        pf_max_iterations: 3,
         ..RouterConfig::default()
     };
-    let sequential = Router::new(&device, config.clone())
-        .route(&circuit)
-        .unwrap_err();
-    for scheduler in [SchedulerKind::Wavefront, SchedulerKind::Batch] {
-        let parallel = Router::new(
+    for pf_selective in [false, true] {
+        let err = Router::new(
             &device,
             RouterConfig {
-                threads: 4,
-                scheduler,
+                mode: RouteMode::Pathfinder,
+                pf_selective,
                 ..config.clone()
             },
         )
         .route(&circuit)
         .unwrap_err();
-        match (&sequential, parallel) {
-            (
-                FpgaError::Unroutable {
-                    channel_width: ws,
-                    passes: ps,
-                    failed_net: ns,
-                    ..
-                },
-                FpgaError::Unroutable {
-                    channel_width: wp,
-                    passes: pp,
-                    failed_net: np,
-                    ..
-                },
-            ) => {
-                assert_eq!(*ws, wp, "{}", scheduler.name());
-                assert_eq!(*ps, pp, "{}", scheduler.name());
-                assert_eq!(*ns, np, "{}", scheduler.name());
-            }
-            other => panic!("expected two Unroutable errors, got {other:?}"),
-        }
+        assert!(
+            matches!(err, FpgaError::Unroutable { .. }),
+            "selective {pf_selective}: expected Unroutable, got {err}"
+        );
     }
+    assert_thread_count_invariant(&device, &circuit, &config, "W = 1");
 }
 
 #[test]
@@ -346,25 +206,11 @@ fn shuffled_synthetic_profiles_stay_deterministic() {
     for seed in [2u64, 13, 99] {
         let circuit = synthesize(&profile, 2, seed).unwrap();
         let device = Device::new(ArchSpec::xilinx4000(6, 6, 10)).unwrap();
-        let sequential = Router::new(&device, RouterConfig::default())
-            .route(&circuit)
-            .unwrap();
-        for scheduler in [SchedulerKind::Wavefront, SchedulerKind::Batch] {
-            let parallel = Router::new(
-                &device,
-                RouterConfig {
-                    threads: 3,
-                    scheduler,
-                    ..RouterConfig::default()
-                },
-            )
-            .route(&circuit)
-            .unwrap();
-            assert_identical(
-                &parallel,
-                &sequential,
-                &format!("synth seed {seed}, {}", scheduler.name()),
-            );
-        }
+        assert_thread_count_invariant(
+            &device,
+            &circuit,
+            &RouterConfig::default(),
+            &format!("synth seed {seed}"),
+        );
     }
 }

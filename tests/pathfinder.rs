@@ -4,7 +4,7 @@
 //! a pure function of the priced snapshot: which worker routes a net can
 //! never change what it routes. So the whole outcome — trees, iteration
 //! count, wirelength, even the failure report — must be bit-identical
-//! across thread counts and scheduler settings. These tests pin that,
+//! across thread counts. These tests pin that,
 //! plus the two contracts the mode adds: a converged routing really is
 //! segment-disjoint, and an unconverged one names the still-contended
 //! nodes instead of failing silently.
@@ -12,7 +12,7 @@
 use fpga_route::fpga::synth::{synthesize, CircuitProfile};
 use fpga_route::fpga::{
     ArchSpec, BlockPin, Circuit, CircuitNet, Device, FpgaError, RouteMode, RouteOutcome, Router,
-    RouterConfig, SchedulerKind, Side,
+    RouterConfig, Side,
 };
 
 /// A small synthetic profile: enough nets to contend, fast to route.
@@ -27,11 +27,10 @@ fn tiny_profile() -> CircuitProfile {
     }
 }
 
-fn pf_config(threads: usize, scheduler: SchedulerKind) -> RouterConfig {
+fn pf_config(threads: usize) -> RouterConfig {
     RouterConfig {
         mode: RouteMode::Pathfinder,
         threads,
-        scheduler,
         ..RouterConfig::default()
     }
 }
@@ -77,22 +76,20 @@ fn crossing_circuit() -> Circuit {
 
 #[test]
 fn pathfinder_is_bit_identical_across_threads_and_schedulers() {
-    let sequential = route_tiny(8, pf_config(1, SchedulerKind::Wavefront)).unwrap();
-    for scheduler in [SchedulerKind::Wavefront, SchedulerKind::Batch] {
-        for threads in [1usize, 2, 4] {
-            let parallel = route_tiny(8, pf_config(threads, scheduler)).unwrap();
-            let context = format!("threads {threads}, {}", scheduler.name());
-            assert_eq!(parallel.trees, sequential.trees, "{context}");
-            assert_eq!(parallel.passes, sequential.passes, "{context}");
-            assert_eq!(
-                parallel.total_wirelength, sequential.total_wirelength,
-                "{context}"
-            );
-            assert_eq!(
-                parallel.max_pathlengths, sequential.max_pathlengths,
-                "{context}"
-            );
-        }
+    let sequential = route_tiny(8, pf_config(1)).unwrap();
+    for threads in [2usize, 4, 8] {
+        let parallel = route_tiny(8, pf_config(threads)).unwrap();
+        let context = format!("threads {threads}");
+        assert_eq!(parallel.trees, sequential.trees, "{context}");
+        assert_eq!(parallel.passes, sequential.passes, "{context}");
+        assert_eq!(
+            parallel.total_wirelength, sequential.total_wirelength,
+            "{context}"
+        );
+        assert_eq!(
+            parallel.max_pathlengths, sequential.max_pathlengths,
+            "{context}"
+        );
     }
 }
 
@@ -101,7 +98,7 @@ fn converged_routing_is_segment_disjoint_within_budget() {
     let profile = tiny_profile();
     let circuit = synthesize(&profile, 2, 1995).expect("synthesizable");
     let device = Device::new(ArchSpec::xilinx4000(profile.rows, profile.cols, 8)).unwrap();
-    let outcome = Router::new(&device, pf_config(4, SchedulerKind::Wavefront))
+    let outcome = Router::new(&device, pf_config(4))
         .route(&circuit)
         .expect("routable at a generous width");
     assert!(
@@ -132,7 +129,7 @@ fn unroutable_reports_the_over_capacity_nodes_identically_across_threads() {
     for threads in [1usize, 2, 4] {
         let config = RouterConfig {
             pf_max_iterations: 4,
-            ..pf_config(threads, SchedulerKind::Wavefront)
+            ..pf_config(threads)
         };
         let err = Router::new(&device, config)
             .route(&circuit)
@@ -169,10 +166,10 @@ fn unroutable_reports_the_over_capacity_nodes_identically_across_threads() {
     }
 }
 
-fn selective_config(threads: usize, scheduler: SchedulerKind) -> RouterConfig {
+fn selective_config(threads: usize) -> RouterConfig {
     RouterConfig {
         pf_selective: true,
-        ..pf_config(threads, scheduler)
+        ..pf_config(threads)
     }
 }
 
@@ -182,35 +179,33 @@ fn selective_mode_is_bit_identical_across_threads_and_schedulers() {
     // functions of the single-writer state alone; the worker partition
     // must stay invisible in every observable output, telemetry
     // included.
-    let sequential = route_tiny(8, selective_config(1, SchedulerKind::Wavefront)).unwrap();
-    for scheduler in [SchedulerKind::Wavefront, SchedulerKind::Batch] {
-        for threads in [1usize, 2, 4] {
-            let parallel = route_tiny(8, selective_config(threads, scheduler)).unwrap();
-            let context = format!("threads {threads}, {}", scheduler.name());
-            assert_eq!(parallel.trees, sequential.trees, "{context}");
-            assert_eq!(parallel.passes, sequential.passes, "{context}");
-            assert_eq!(
-                parallel.total_wirelength, sequential.total_wirelength,
-                "{context}"
-            );
-            assert_eq!(
-                parallel.max_pathlengths, sequential.max_pathlengths,
-                "{context}"
-            );
-            let dirty: Vec<usize> = parallel
-                .telemetry
-                .passes
-                .iter()
-                .map(|p| p.dirty_nets)
-                .collect();
-            let reference: Vec<usize> = sequential
-                .telemetry
-                .passes
-                .iter()
-                .map(|p| p.dirty_nets)
-                .collect();
-            assert_eq!(dirty, reference, "{context}: dirty trajectory differs");
-        }
+    let sequential = route_tiny(8, selective_config(1)).unwrap();
+    for threads in [2usize, 4, 8] {
+        let parallel = route_tiny(8, selective_config(threads)).unwrap();
+        let context = format!("threads {threads}");
+        assert_eq!(parallel.trees, sequential.trees, "{context}");
+        assert_eq!(parallel.passes, sequential.passes, "{context}");
+        assert_eq!(
+            parallel.total_wirelength, sequential.total_wirelength,
+            "{context}"
+        );
+        assert_eq!(
+            parallel.max_pathlengths, sequential.max_pathlengths,
+            "{context}"
+        );
+        let dirty: Vec<usize> = parallel
+            .telemetry
+            .passes
+            .iter()
+            .map(|p| p.dirty_nets)
+            .collect();
+        let reference: Vec<usize> = sequential
+            .telemetry
+            .passes
+            .iter()
+            .map(|p| p.dirty_nets)
+            .collect();
+        assert_eq!(dirty, reference, "{context}: dirty trajectory differs");
     }
 }
 
@@ -222,7 +217,7 @@ fn selective_converged_routing_is_segment_disjoint() {
     let profile = tiny_profile();
     let circuit = synthesize(&profile, 2, 1995).expect("synthesizable");
     let device = Device::new(ArchSpec::xilinx4000(profile.rows, profile.cols, 8)).unwrap();
-    let outcome = Router::new(&device, selective_config(4, SchedulerKind::Wavefront))
+    let outcome = Router::new(&device, selective_config(4))
         .route(&circuit)
         .expect("routable at a generous width");
     let mut used = vec![false; device.graph().node_count()];
@@ -244,7 +239,7 @@ fn selective_dirty_nets_shrink_while_converging() {
     // The acceptance trajectory: iteration 1 routes everything, and the
     // dirty set then strictly decreases to convergence on this circuit —
     // iteration cost tracks remaining congestion, not circuit size.
-    let outcome = route_tiny(8, selective_config(1, SchedulerKind::Wavefront)).unwrap();
+    let outcome = route_tiny(8, selective_config(1)).unwrap();
     let dirty: Vec<usize> = outcome
         .telemetry
         .passes
@@ -297,20 +292,17 @@ fn selective_unroutable_matches_full_mode_and_is_thread_independent() {
     };
     let full = unroutable(RouterConfig {
         pf_max_iterations: 4,
-        ..pf_config(1, SchedulerKind::Wavefront)
+        ..pf_config(1)
     });
-    for scheduler in [SchedulerKind::Wavefront, SchedulerKind::Batch] {
-        for threads in [1usize, 2, 4] {
-            let selective = unroutable(RouterConfig {
-                pf_max_iterations: 4,
-                ..selective_config(threads, scheduler)
-            });
-            assert_eq!(
-                selective, full,
-                "threads {threads}, {}: selective failure report diverged from full mode",
-                scheduler.name()
-            );
-        }
+    for threads in [1usize, 2, 4] {
+        let selective = unroutable(RouterConfig {
+            pf_max_iterations: 4,
+            ..selective_config(threads)
+        });
+        assert_eq!(
+            selective, full,
+            "threads {threads}: selective failure report diverged from full mode"
+        );
     }
 }
 
@@ -320,7 +312,7 @@ fn history_decay_is_deterministic_across_threads() {
     // just as partition-independent as an undecayed one.
     let config = |threads| RouterConfig {
         pf_history_decay_milli: 125,
-        ..selective_config(threads, SchedulerKind::Wavefront)
+        ..selective_config(threads)
     };
     let sequential = route_tiny(8, config(1)).unwrap();
     for threads in [2usize, 4] {
@@ -330,12 +322,12 @@ fn history_decay_is_deterministic_across_threads() {
     }
     // Decay off is the exact undecayed router: the flag default changes
     // nothing about the trajectory.
-    let undecayed = route_tiny(8, selective_config(1, SchedulerKind::Wavefront)).unwrap();
+    let undecayed = route_tiny(8, selective_config(1)).unwrap();
     let explicit_zero = route_tiny(
         8,
         RouterConfig {
             pf_history_decay_milli: 0,
-            ..selective_config(1, SchedulerKind::Wavefront)
+            ..selective_config(1)
         },
     )
     .unwrap();
@@ -354,7 +346,7 @@ fn saturated_pricing_degrades_gracefully_instead_of_panicking() {
             pf_present_milli: u64::MAX,
             pf_history_milli: u64::MAX,
             pf_max_iterations: 6,
-            ..pf_config(threads, SchedulerKind::Wavefront)
+            ..pf_config(threads)
         };
         match route_tiny(6, config) {
             Ok(outcome) => assert!(!outcome.trees.is_empty()),

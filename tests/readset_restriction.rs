@@ -1,28 +1,32 @@
-//! Read-set restriction: every construction the FPGA router deploys must
-//! record a *bounded* read set when handed an explicit candidate pool —
-//! strictly smaller than the live graph — or parallel speculation
-//! degrades to sequential replay on every batch (any batch-mate's commit
-//! would intersect a whole-graph read set).
+//! Candidate-pool restriction: the constructions the FPGA router hands
+//! an explicit candidate pool must search only near the net, never flood
+//! the whole chip, and must not change their trees when the pool covers
+//! everything the unrestricted search would consider.
 //!
 //! The grid is seeded with congestion-style weight noise so shortest
 //! paths are not axis-aligned ties: a construction that secretly floods
 //! the whole component to break ties would be caught here.
 
 use fpga_route::graph::rng::{Rng, SplitMix64};
-use fpga_route::graph::{readset, GridGraph, NodeId, Weight};
+use fpga_route::graph::{GridGraph, NodeId, Weight};
 use fpga_route::steiner::{
-    idom_with_config, CandidatePool, Djka, Dom, Iterated, IteratedConfig, Kmb, Net,
-    SteinerHeuristic, Zel,
+    CandidatePool, Iterated, IteratedConfig, Kmb, Net, Pfa, SteinerHeuristic, Zel,
 };
-use fpga_route::steiner::Pfa;
+use fpga_route::trace::{Collector, Counter};
+
+/// Trace collection is process-global; serialize the tests so one
+/// test's constructions never count toward another's collector.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 // The chip must be comfortably larger than the candidate pool: a
 // target-restricted Dijkstra stops once the *last* pool target settles,
-// so it examines everything within that distance of its start — a
+// so it settles everything within that distance of its start — a
 // diamond about twice the pool's diameter in the worst case. On a chip
-// barely bigger than that diamond the union of reads across an iterated
-// construction's rounds covers every node and the strict-subset
-// assertion would flag a correctly restricted run.
+// barely bigger than that diamond a restricted run would settle almost
+// every node and the comparison below would measure nothing.
 const ROWS: usize = 28;
 const COLS: usize = 28;
 
@@ -68,65 +72,13 @@ fn region_pool(grid: &GridGraph) -> Vec<NodeId> {
     pool
 }
 
-/// Runs one construction under the read-set recorder and asserts its
-/// reads are non-empty and a strict subset of the live graph.
-fn assert_bounded_reads(h: &dyn SteinerHeuristic, grid: &GridGraph, net: &Net) {
-    let g = grid.graph();
-    readset::begin();
-    let tree = h.construct(g, net).unwrap();
-    let reads = readset::take();
-    assert!(tree.spans(net), "{}: tree must span the net", h.name());
-    assert!(!reads.is_empty(), "{}: reads recorded", h.name());
-    assert!(
-        reads.len() < g.live_node_count(),
-        "{}: read set ({} nodes) must be a strict subset of the live graph ({} nodes)",
-        h.name(),
-        reads.len(),
-        g.live_node_count()
-    );
-    // The far corner is well outside the restricted target set; no
-    // bounded construction has any business examining it.
-    let far = grid.node_at(ROWS - 1, COLS - 1).unwrap();
-    assert!(
-        !reads.contains(&far),
-        "{}: read the far corner of the chip",
-        h.name()
-    );
-}
-
-#[test]
-fn every_pooled_construction_records_a_restricted_read_set() {
-    let grid = congested_grid();
-    let net = corner_net(&grid);
-    let pool = region_pool(&grid);
-    let config = IteratedConfig {
-        pool: CandidatePool::Explicit(pool.clone()),
-        ..IteratedConfig::default()
-    };
-    let heuristics: Vec<Box<dyn SteinerHeuristic>> = vec![
-        Box::new(Kmb::new()),
-        Box::new(Zel::with_pool(CandidatePool::Explicit(pool.clone()))),
-        Box::new(Pfa::with_pool(CandidatePool::Explicit(pool.clone()))),
-        Box::new(Dom::new()),
-        Box::new(Djka::new()),
-        Box::new(Iterated::with_config(Kmb::new(), config.clone())),
-        Box::new(Iterated::with_config(
-            Zel::with_pool(CandidatePool::Explicit(pool.clone())),
-            config.clone(),
-        )),
-        Box::new(idom_with_config(config)),
-    ];
-    for h in &heuristics {
-        assert_bounded_reads(h.as_ref(), &grid, &net);
-    }
-}
-
 #[test]
 fn restricted_zel_and_pfa_still_match_their_unrestricted_trees() {
     // Restricting the scan to a pool that contains everything the
     // unrestricted scan would have chosen must not change the result:
     // here the pool covers the whole grid, so restricted and
     // unrestricted runs see identical candidate sets.
+    let _gate = serial();
     let grid = congested_grid();
     let net = corner_net(&grid);
     let all: Vec<NodeId> = grid.graph().node_ids().collect();
@@ -142,123 +94,43 @@ fn restricted_zel_and_pfa_still_match_their_unrestricted_trees() {
     assert_eq!(pfa_full.cost(), pfa_pool.cost());
 }
 
-/// The same invariant on a real chip instead of a synthetic grid: a
-/// synthesized Table 5 circuit (alu4, 19×17) on its XC4000 segment
-/// graph. ZEL and PFA get the router's explicit region pool (net
-/// bounding box plus the default candidate margin, exactly the
-/// footprint `Router::region_nodes` computes); DOM and DJKA run bare —
-/// they are target-restricted by construction. Every one must record a
-/// read set strictly smaller than the full node set, or parallel
-/// speculation on this chip would serialize.
-#[test]
-fn table5_constructions_record_restricted_read_sets() {
-    use fpga_route::fpga::synth::{synthesize, xc4000_profiles};
-    use fpga_route::fpga::{ArchSpec, Device};
-
-    let profile = xc4000_profiles()[0]; // alu4: 19×17, the Table 5 flagship
-    let circuit = synthesize(&profile, 2, 1995).unwrap();
-    let device = Device::new(ArchSpec::xilinx4000(profile.rows, profile.cols, 9)).unwrap();
-    let arch = device.arch();
-    let g = device.graph();
-
-    // A compact multi-terminal net: at least three pins whose bounding
-    // box spans no more than a third of the chip, so the pool's Dijkstra
-    // diamond cannot flood the whole graph (see the ROWS/COLS comment
-    // above for why that headroom matters).
-    let mut picked = None;
-    for (ni, net) in circuit.nets().iter().enumerate() {
-        if net.pins.len() < 3 {
-            continue;
-        }
-        let rows: Vec<usize> = net.pins.iter().map(|p| p.row).collect();
-        let cols: Vec<usize> = net.pins.iter().map(|p| p.col).collect();
-        let (r0, r1) = (*rows.iter().min().unwrap(), *rows.iter().max().unwrap());
-        let (c0, c1) = (*cols.iter().min().unwrap(), *cols.iter().max().unwrap());
-        if r1 - r0 <= arch.rows / 3 && c1 - c0 <= arch.cols / 3 {
-            picked = Some((ni, r0, r1, c0, c1));
-            break;
-        }
-    }
-    let (ni, r0, r1, c0, c1) = picked.expect("alu4 has a compact multi-terminal net");
-
-    // The router's region pool for this net: bounding box expanded by
-    // the default candidate margin, mapped to segment positions the same
-    // way `Router::region_nodes` does.
-    let margin = 1;
-    let r0 = r0.saturating_sub(margin);
-    let c0 = c0.saturating_sub(margin);
-    let r1 = (r1 + margin).min(arch.rows - 1);
-    let c1 = (c1 + margin).min(arch.cols - 1);
-    let h_positions = (arch.rows + 1) * arch.cols;
-    let mut pool: Vec<NodeId> = Vec::new();
-    for ch in r0..=(r1 + 1) {
-        for seg in c0..=c1 {
-            pool.extend(device.segment_nodes_at(ch * arch.cols + seg));
-        }
-    }
-    for ch in c0..=(c1 + 1) {
-        for seg in r0..=r1 {
-            pool.extend(device.segment_nodes_at(h_positions + ch * arch.rows + seg));
-        }
-    }
-
-    // Two pins of a net can land on the same segment node; Net rejects
-    // duplicate terminals, so dedup first.
-    let mut terminals = circuit.net_terminals(&device, ni).unwrap();
-    let mut seen = std::collections::HashSet::new();
-    terminals.retain(|t| seen.insert(*t));
-    assert!(terminals.len() >= 2, "net must keep at least two terminals");
-    let net = Net::from_terminals(terminals).unwrap();
-
-    let heuristics: Vec<Box<dyn SteinerHeuristic>> = vec![
-        Box::new(Zel::with_pool(CandidatePool::Explicit(pool.clone()))),
-        Box::new(Pfa::with_pool(CandidatePool::Explicit(pool))),
-        Box::new(Dom::new()),
-        Box::new(Djka::new()),
-    ];
-    for h in &heuristics {
-        readset::begin();
-        let tree = h.construct(g, &net).unwrap();
-        let reads = readset::take();
-        assert!(tree.spans(&net), "{}: tree must span the net", h.name());
-        assert!(!reads.is_empty(), "{}: reads recorded", h.name());
-        assert!(
-            reads.len() < g.live_node_count(),
-            "{}: read set ({} nodes) must be a strict subset of the chip graph ({} nodes)",
-            h.name(),
-            reads.len(),
-            g.live_node_count()
-        );
-    }
+/// Dijkstra heap pops (nodes settled) while `h` constructs `net`.
+fn heap_pops(h: &dyn SteinerHeuristic, grid: &GridGraph, net: &Net) -> u64 {
+    let collector = Collector::install();
+    let tree = h.construct(grid.graph(), net).unwrap();
+    let trace = collector.finish();
+    assert!(tree.spans(net), "{}: tree must span the net", h.name());
+    trace.counters.get(Counter::DijkstraHeapPops)
 }
 
 #[test]
 fn unrestricted_scans_read_more_than_pooled_scans() {
-    // Sanity check on the measurement itself: the same construction
-    // without a pool floods far more of the graph.
+    // Every construction the router hands a pool — ZEL, PFA and the
+    // iterated KMB — must settle strictly fewer nodes with the net's
+    // region pool than without one.
+    let _gate = serial();
     let grid = congested_grid();
     let net = corner_net(&grid);
-    let pool = region_pool(&grid);
-
-    readset::begin();
-    Zel::new().construct(grid.graph(), &net).unwrap();
-    let unrestricted = readset::take();
-
-    readset::begin();
-    Zel::with_pool(CandidatePool::Explicit(pool))
-        .construct(grid.graph(), &net)
-        .unwrap();
-    let restricted = readset::take();
-
-    assert!(
-        restricted.len() < unrestricted.len(),
-        "pooled ZEL read {} nodes, unrestricted {}",
-        restricted.len(),
-        unrestricted.len()
-    );
-    assert_eq!(
-        unrestricted.len(),
-        grid.graph().live_node_count(),
-        "unrestricted ZEL floods the whole component"
-    );
+    let pool = || CandidatePool::Explicit(region_pool(&grid));
+    let pooled_ikmb = IteratedConfig {
+        pool: pool(),
+        ..IteratedConfig::default()
+    };
+    let pairs: Vec<(Box<dyn SteinerHeuristic>, Box<dyn SteinerHeuristic>)> = vec![
+        (Box::new(Zel::new()), Box::new(Zel::with_pool(pool()))),
+        (Box::new(Pfa::new()), Box::new(Pfa::with_pool(pool()))),
+        (
+            Box::new(Iterated::with_config(Kmb::new(), IteratedConfig::default())),
+            Box::new(Iterated::with_config(Kmb::new(), pooled_ikmb)),
+        ),
+    ];
+    for (unrestricted, pooled) in &pairs {
+        let full = heap_pops(unrestricted.as_ref(), &grid, &net);
+        let restricted = heap_pops(pooled.as_ref(), &grid, &net);
+        assert!(
+            restricted < full,
+            "{}: pooled run popped {restricted} nodes, unrestricted {full}",
+            pooled.name()
+        );
+    }
 }

@@ -130,10 +130,10 @@ fn steiner_router_needs_no_more_width_than_the_baseline() {
 
 #[test]
 fn parallel_routing_is_deterministic_and_matches_sequential() {
-    // The parallel engine speculates against per-batch snapshots and
-    // falls back to the sequential path on conflict, so `threads = 4`
-    // must reproduce the sequential result bit-for-bit: same trees, same
-    // pass count, same wirelength.
+    // Rip-up commits one net at a time whatever `threads` says: the
+    // automatic setting and explicit worker counts must reproduce the
+    // threads = 1 routing bit for bit — same trees, pass count,
+    // wirelength and end-of-pass congestion — and report no speculation.
     let profile = test_profile();
     for (seed, arch) in [
         (9u64, ArchSpec::xilinx4000(6, 6, 9)),
@@ -145,48 +145,6 @@ fn parallel_routing_is_deterministic_and_matches_sequential() {
         let sequential = Router::new(&device, RouterConfig::default())
             .route(&circuit)
             .unwrap();
-        let parallel = Router::new(
-            &device,
-            RouterConfig {
-                threads: 4,
-                ..RouterConfig::default()
-            },
-        )
-        .route(&circuit)
-        .unwrap();
-        assert_eq!(parallel.trees, sequential.trees, "seed {seed}");
-        assert_eq!(parallel.passes, sequential.passes, "seed {seed}");
-        assert_eq!(
-            parallel.total_wirelength, sequential.total_wirelength,
-            "seed {seed}"
-        );
-        // The parallel run records per-pass speculation statistics and an
-        // end-of-pass congestion snapshot, and determinism extends to the
-        // occupancy state: both engines leave the channels identically
-        // full. (The default wavefront scheduler never batches. How the
-        // nets split between worker speculation and the committer's
-        // inline claims depends on host scheduling, so the guaranteed
-        // speculation counter is asserted on a claims-disabled run
-        // below.)
-        assert_eq!(parallel.telemetry.passes.len(), parallel.passes);
-        assert!(parallel.telemetry.passes.iter().all(|t| t.batches == 0));
-        let spec_only = Router::new(
-            &device,
-            RouterConfig {
-                threads: 4,
-                committer_claims: false,
-                ..RouterConfig::default()
-            },
-        )
-        .route(&circuit)
-        .unwrap();
-        assert_eq!(spec_only.trees, sequential.trees, "seed {seed}");
-        assert!(spec_only.telemetry.passes.iter().all(|t| t.speculated > 0));
-        assert!(parallel
-            .telemetry
-            .passes
-            .iter()
-            .all(|t| t.congestion.positions > 0 && t.congestion.used_positions > 0));
         let snapshots = |o: &fpga_route::fpga::RouteOutcome| {
             o.telemetry
                 .passes
@@ -194,43 +152,39 @@ fn parallel_routing_is_deterministic_and_matches_sequential() {
                 .map(|t| t.congestion.clone())
                 .collect::<Vec<_>>()
         };
-        assert_eq!(snapshots(&parallel), snapshots(&sequential), "seed {seed}");
-    }
-}
-
-#[test]
-fn speculation_thresholds_shift_only_wall_clock_not_results() {
-    // `spec_exit_misses` / `spec_probe_period` tune how eagerly the
-    // wavefront suspends and re-probes speculation; they must never
-    // change what gets routed. Route the same circuit at the two
-    // extremes of each knob and demand bit-identity with the defaults.
-    let profile = test_profile();
-    let circuit = synthesize(&profile, 2, 9).unwrap();
-    let device = Device::new(ArchSpec::xilinx4000(6, 6, 9)).unwrap();
-    let defaults = RouterConfig::default();
-    assert_eq!(defaults.spec_exit_misses, 4);
-    assert_eq!(defaults.spec_probe_period, 32);
-    let reference = Router::new(&device, RouterConfig { threads: 4, ..defaults.clone() })
-        .route(&circuit)
-        .unwrap();
-    for (exit_misses, probe_period) in [(1, 1), (1, 1024), (64, 1), (64, 1024), (0, 0)] {
-        let outcome = Router::new(
-            &device,
-            RouterConfig {
-                threads: 4,
-                spec_exit_misses: exit_misses,
-                spec_probe_period: probe_period,
-                ..RouterConfig::default()
-            },
-        )
-        .route(&circuit)
-        .unwrap();
-        assert_eq!(
-            outcome.trees, reference.trees,
-            "exit_misses={exit_misses} probe_period={probe_period}"
-        );
-        assert_eq!(outcome.passes, reference.passes);
-        assert_eq!(outcome.total_wirelength, reference.total_wirelength);
+        for threads in [0usize, 2, 4] {
+            let context = format!("seed {seed}, threads {threads}");
+            let outcome = Router::new(
+                &device,
+                RouterConfig {
+                    threads,
+                    ..RouterConfig::default()
+                },
+            )
+            .route(&circuit)
+            .unwrap();
+            assert_eq!(outcome.trees, sequential.trees, "{context}");
+            assert_eq!(outcome.passes, sequential.passes, "{context}");
+            assert_eq!(
+                outcome.total_wirelength, sequential.total_wirelength,
+                "{context}"
+            );
+            assert_eq!(outcome.telemetry.passes.len(), outcome.passes, "{context}");
+            assert_eq!(snapshots(&outcome), snapshots(&sequential), "{context}");
+            assert!(outcome
+                .telemetry
+                .passes
+                .iter()
+                .all(|t| t.congestion.positions > 0 && t.congestion.used_positions > 0));
+            for t in &outcome.telemetry.passes {
+                assert_eq!(
+                    (t.speculated, t.accepted, t.respeculated, t.steals, t.stalls),
+                    (0, 0, 0, 0, 0),
+                    "{context}, pass {}",
+                    t.pass
+                );
+            }
+        }
     }
 }
 
