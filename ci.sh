@@ -10,6 +10,12 @@ cargo build --release
 echo "==> cargo test --workspace -q (every crate, linter self-tests and adversarial gate included)"
 cargo test --workspace -q
 
+echo "==> perfbench tests (legality audit accept/reject + corruption self-test)"
+# The benchmark's independent audit must reject an illegal routing, so
+# kernel or router work that breaks legality fails here, not only in a
+# benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 

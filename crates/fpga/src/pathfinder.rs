@@ -88,7 +88,7 @@
 
 use route_graph::rng::SplitMix64;
 use route_graph::{
-    CsrView, EdgeId, Graph, GraphError, GraphOverlay, GraphView, GraphViewMut, NodeId,
+    CsrView, EdgeId, Graph, GraphError, GraphOverlay, GraphView, GraphViewMut, LiveLane, NodeId,
     OverlayArena, Weight,
 };
 use steiner_route::{NegotiatedPricing, RoutingTree};
@@ -114,6 +114,15 @@ struct ExclusionCtx<'a> {
     usage: &'a [u32],
     /// Lowest-indexed previous occupant per node (`usize::MAX` = none).
     claims: &'a [usize],
+}
+
+/// One route-phase worker's buffers, reused across nets and iterations:
+/// the overlay arena its per-net mutations go to, and the lane each
+/// net's view is packed into.
+#[derive(Default)]
+struct WorkerScratch {
+    arena: OverlayArena,
+    lane: LiveLane,
 }
 
 /// Upper bound (inclusive, in milli-units) of the per-net tie-break
@@ -301,10 +310,10 @@ pub(crate) fn route_negotiated(
     let mut final_trees: Vec<Option<RoutingTree>> = Vec::new();
     let mut prev_usage: Vec<u32> = Vec::new();
     let mut prev_claims: Vec<usize> = Vec::new();
-    // One delta arena per route-phase worker, grown on demand and
-    // rebound every iteration — the per-iteration snapshot cost is an
-    // O(1) generation bump instead of a full graph clone per worker.
-    let mut arenas: Vec<OverlayArena> = Vec::new();
+    // One delta arena (and lane) per route-phase worker, grown on demand
+    // and rebound every iteration — the per-iteration snapshot cost is
+    // an O(1) generation bump instead of a full graph clone per worker.
+    let mut scratch: Vec<WorkerScratch> = Vec::new();
     for iteration in 1..=budget {
         // lint: allow(determinism-wall-clock): per-iteration timing lands in IterationStats reporting; cost updates never read it
         let started = std::time::Instant::now();
@@ -322,7 +331,7 @@ pub(crate) fn route_negotiated(
                 circuit,
                 critical,
                 threads,
-                &mut arenas,
+                &mut scratch,
                 &priced,
                 &final_trees,
                 ctx,
@@ -381,25 +390,6 @@ pub(crate) fn route_negotiated(
             (trees, usage, pos_usage, claims, overcap)
         };
         let converged = overcap.is_empty();
-        if std::env::var_os("PF_DEBUG").is_some() {
-            let users: Vec<usize> = overcap
-                .first()
-                .map(|&c| {
-                    trees
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, t)| t.as_ref().is_some_and(|t| t.nodes().any(|n| n == c)))
-                        .map(|(i, _)| i)
-                        .collect()
-                })
-                .unwrap_or_default();
-            eprintln!(
-                "pf iter {iteration}: overcap {} first {:?} users {:?}",
-                overcap.len(),
-                overcap.first(),
-                users
-            );
-        }
         // Nets whose route changed relative to the previous iteration —
         // the convergence signal complementary to the over-capacity
         // count (a negotiation can stall with few over-capacity nodes
@@ -667,20 +657,22 @@ fn trees_differ(a: Option<&RoutingTree>, b: Option<&RoutingTree>) -> bool {
 /// per-worker overlays, reset after every net).
 ///
 /// The priced graph is packed once per phase into a flat-CSR snapshot
-/// ([`CsrView`]) so every net's shortest-path relaxations sweep
-/// contiguous `(neighbor, edge, weight)` triples instead of chasing
-/// the mutable graph's per-node edge lists. Both the sequential path
-/// and the workers bind their copy-on-write overlays over that CSR
-/// arena; the view surface is identical (same iteration order, same
-/// liveness, same weights), so the phase stays bit-identical to
-/// routing against the [`Graph`] directly, for any thread count.
+/// ([`CsrView`]), and both the sequential path and the workers bind
+/// their copy-on-write overlays over it: each net's lane (see
+/// [`Router::route_net`]) is packed through the overlay, and reading
+/// the base from contiguous arrays instead of the mutable graph's
+/// per-node edge lists makes that per-net pack cheaper than the
+/// snapshot costs once per phase. The view surface is identical (same
+/// iteration order, same liveness, same weights), so the phase stays
+/// bit-identical to routing against the [`Graph`] directly, for any
+/// thread count.
 #[allow(clippy::too_many_arguments)] // internal plumbing for one call site
 fn route_all(
     router: &Router<'_>,
     circuit: &Circuit,
     critical: &[bool],
     threads: usize,
-    arenas: &mut Vec<OverlayArena>,
+    scratch: &mut Vec<WorkerScratch>,
     priced: &Graph,
     prev: &[Option<RoutingTree>],
     ctx: ExclusionCtx<'_>,
@@ -700,14 +692,23 @@ fn route_all(
         // The CSR snapshot is immutable, so even the single-worker phase
         // routes through an overlay, reusing its arena across iterations
         // like the workers reuse theirs.
-        if arenas.is_empty() {
-            arenas.push(OverlayArena::new());
+        if scratch.is_empty() {
+            scratch.push(WorkerScratch::default());
         }
-        let mut overlay = GraphOverlay::bind(&csr, &mut arenas[0]);
+        let WorkerScratch { arena, lane } = &mut scratch[0];
+        let mut overlay = GraphOverlay::bind(&csr, arena);
         let mut routed: Vec<(usize, Option<RoutingTree>)> = Vec::with_capacity(order.len());
         for &ni in order {
-            let tree =
-                route_net_excluded(router, &mut overlay, circuit, ni, critical, prev_of(ni), ctx)?;
+            let tree = route_net_excluded(
+                router,
+                &mut overlay,
+                circuit,
+                ni,
+                critical,
+                prev_of(ni),
+                ctx,
+                lane,
+            )?;
             // O(1) back to the priced snapshot for the next net.
             overlay.reset();
             routed.push((ni, tree));
@@ -723,15 +724,15 @@ fn route_all(
         }
         return Ok(routed);
     }
-    while arenas.len() < workers {
-        arenas.push(OverlayArena::new());
+    while scratch.len() < workers {
+        scratch.push(WorkerScratch::default());
     }
     let snapshot: &CsrView = &csr;
     let parent_span = route_trace::current_span();
     let mut worker_results: Vec<WorkerRoutes> = Vec::with_capacity(workers);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
-        for (k, arena) in arenas.iter_mut().enumerate().take(workers) {
+        for (k, WorkerScratch { arena, lane }) in scratch.iter_mut().enumerate().take(workers) {
             handles.push(scope.spawn(move || {
                 route_trace::adopt_parent(parent_span);
                 let worker_started = if route_trace::enabled() {
@@ -754,6 +755,7 @@ fn route_all(
                         critical,
                         prev_of(ni),
                         ctx,
+                        lane,
                     );
                     overlay.reset();
                     routed.push((ni, tree));
@@ -826,6 +828,7 @@ fn route_all(
 /// the snapshot, the net's own previous tree, and the single-writer
 /// claim table, never on the worker partition, preserving thread-count
 /// bit-identity.
+#[allow(clippy::too_many_arguments)] // internal plumbing for two call sites
 fn route_net_excluded<G: GraphViewMut>(
     router: &Router<'_>,
     graph: &mut G,
@@ -834,6 +837,7 @@ fn route_net_excluded<G: GraphViewMut>(
     critical: &[bool],
     prev: Option<&RoutingTree>,
     ctx: ExclusionCtx<'_>,
+    lane: &mut LiveLane,
 ) -> Result<Option<RoutingTree>, FpgaError> {
     let device = router.device();
     if let Some(tree) = prev {
@@ -871,5 +875,5 @@ fn route_net_excluded<G: GraphViewMut>(
         inner: graph,
         net_salt: ni as u64,
     };
-    router.route_net(&mut tilted, circuit, ni, critical)
+    router.route_net(&mut tilted, circuit, ni, critical, lane)
 }

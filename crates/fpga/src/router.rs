@@ -11,7 +11,7 @@
 //! paper's feasibility threshold is 20) the circuit is declared unroutable
 //! at this channel width.
 
-use route_graph::{GraphError, GraphView, GraphViewMut, NodeId, Weight};
+use route_graph::{GraphError, GraphView, GraphViewMut, LaneView, LiveLane, NodeId, Weight};
 use steiner_route::{
     idom_with_config, CandidatePool, Djka, Dom, Iterated, IteratedConfig, Kmb, Net,
     Pfa, RoutingTree, SteinerError, SteinerHeuristic, Zel,
@@ -376,12 +376,13 @@ impl<'d> Router<'d> {
         }
         let mut last_failure = 0usize;
         let mut passes_telemetry: Vec<crate::telemetry::PassTelemetry> = Vec::new();
+        let mut lane = LiveLane::new();
         for pass in 1..=self.config.max_passes.max(1) {
             // lint: allow(determinism-wall-clock): pass wall-clock feeds PassTelemetry::elapsed only; routing never reads it
             let started = std::time::Instant::now();
             let (result, mut timing) = {
                 let _pass_span = route_trace::span(route_trace::SpanKind::Pass, "pass", pass as u64);
-                self.route_pass(circuit, &order, critical)?
+                self.route_pass(circuit, &order, critical, &mut lane)?
             };
             timing.pass = pass;
             timing.elapsed = started.elapsed();
@@ -442,6 +443,7 @@ impl<'d> Router<'d> {
         circuit: &Circuit,
         order: &[usize],
         critical: &[bool],
+        lane: &mut LiveLane,
     ) -> Result<(PassResult, crate::telemetry::PassTelemetry), FpgaError> {
         let mut g = self.device.working_graph();
         if route_trace::enabled() {
@@ -452,7 +454,7 @@ impl<'d> Router<'d> {
         let mut trees: Vec<Option<RoutingTree>> = vec![None; circuit.net_count()];
         let mut timing = crate::telemetry::PassTelemetry::default();
         for &ni in order {
-            match self.route_net(&mut g, circuit, ni, critical)? {
+            match self.route_net(&mut g, circuit, ni, critical, lane)? {
                 Some(tree) => {
                     self.commit(&mut g, &mut usage, w, &tree)?;
                     // Report against the pristine device graph so costs
@@ -478,12 +480,20 @@ impl<'d> Router<'d> {
     /// pins, runs the configured construction, and restores the masked
     /// pins. `Ok(None)` reports an unroutable (disconnected) net; the
     /// graph is left exactly as it was on entry either way.
+    ///
+    /// The masked view is packed once into `lane` (its buffers reused
+    /// from net to net), and the construction runs over a [`LaneView`]:
+    /// every Dijkstra run of the net relaxes contiguous
+    /// `(neighbor, edge, weight)` triples instead of re-resolving `g`'s
+    /// liveness, overlay deltas and weight wrappers per edge. The two
+    /// views are indistinguishable, so the tree is too.
     pub(crate) fn route_net<G: GraphViewMut>(
         &self,
         g: &mut G,
         circuit: &Circuit,
         ni: usize,
         critical: &[bool],
+        lane: &mut LiveLane,
     ) -> Result<Option<RoutingTree>, FpgaError> {
         let _net_span = route_trace::span(route_trace::SpanKind::Net, "net", ni as u64);
         let net_started = if route_trace::enabled() {
@@ -499,11 +509,15 @@ impl<'d> Router<'d> {
             (true, Some(algo)) => algo,
             _ => self.config.algorithm,
         };
-        let heuristic = algorithm.heuristic(self.candidate_pool(circuit, ni));
         let result = {
+            let heuristic = algorithm.heuristic(self.candidate_pool(circuit, ni));
+            // The pack runs inside the phase span: it is the
+            // construction's adjacency work, done once per net instead
+            // of once per relaxation.
             let _phase_span =
                 route_trace::span(route_trace::SpanKind::Phase, algorithm.label(), 0);
-            heuristic.construct(g, &net)
+            lane.pack(&*g);
+            heuristic.construct(&LaneView::new(&*g, lane), &net)
         };
         if route_trace::enabled() {
             route_trace::count(route_trace::Counter::NetsRouted, 1);

@@ -1,23 +1,26 @@
-//! Flat-CSR adjacency snapshots for cache-conscious kernel iteration.
+//! Flat-CSR adjacency for cache-conscious kernel iteration.
 //!
 //! [`Graph`](crate::Graph) stores one heap-allocated adjacency `Vec` per
-//! node, so a Dijkstra relaxation sweep hops between scattered
-//! allocations and re-checks liveness flags per entry. [`CsrView`] packs
-//! two contiguous compressed-sparse-row arenas: the *raw* adjacency
-//! (tombstones included, insertion order — the [`OverlayBase`] surface),
-//! and a *prefiltered* `(neighbor, edge, weight)` lane holding only
-//! usable edges between live nodes. The snapshot is immutable, so
-//! liveness is resolved once at build time and the relaxation hot loop
-//! is a branch-free walk over sequential triples.
+//! node, and an overlay or a priced wrapper resolves liveness and weights
+//! per entry, so a Dijkstra relaxation sweep hops between scattered
+//! allocations and re-checks flags on every visit. A [`LiveLane`] packs a
+//! view's *usable* adjacency once into one contiguous
+//! `(neighbor, edge, weight)` array; the relaxation hot loop then walks
+//! sequential triples with no per-entry checks.
 //!
-//! A `CsrView` is an immutable snapshot: it captures liveness flags,
-//! weights, and the base epoch at build time. It implements both
-//! [`GraphView`] (route directly against it) and [`OverlayBase`] (bind a
-//! [`GraphOverlay`](crate::GraphOverlay) over it when a worker needs the
-//! usual per-net mutations — pin masking, congestion exclusion). Because
-//! the raw entries and flags are copied verbatim, iteration order — and
-//! therefore every routed tree — is bit-identical to iterating the source
-//! graph or an overlay bound to it.
+//! Two things are built on it. [`LaneView`] serves `neighbors` from a
+//! lane packed over any view and hands every other query to that view:
+//! the router packs each net's masked (and, in PathFinder, excluded and
+//! tilted) view into a lane reused across nets, so every Dijkstra run of
+//! the net's construction relaxes over it. [`CsrView`] is an immutable
+//! snapshot of an [`OverlayBase`] graph: the *raw* adjacency (tombstones
+//! included, insertion order — the [`OverlayBase`] surface) plus a lane.
+//! It implements both [`GraphView`] (route directly against it) and
+//! [`OverlayBase`] (bind a [`GraphOverlay`](crate::GraphOverlay) over it
+//! when a worker needs the usual per-net mutations — pin masking,
+//! congestion exclusion). Because the lane keeps the view's iteration
+//! order and the raw entries and flags are copied verbatim, every routed
+//! tree is bit-identical to iterating the source view directly.
 
 use crate::overlay::OverlayBase;
 use crate::view::GraphView;
@@ -50,12 +53,10 @@ pub struct CsrView {
     /// included — the [`OverlayBase`] surface, which overlays re-filter
     /// against their own liveness deltas.
     adj: Vec<(NodeId, EdgeId)>,
-    /// `live_adj[live_offsets[v]..live_offsets[v + 1]]` are `v`'s *usable*
-    /// `(neighbor, edge, weight)` triples, prefiltered at build time (the
-    /// snapshot is immutable, so liveness cannot change underneath). The
-    /// relaxation hot loop walks this lane with no per-entry flag checks.
-    live_offsets: Vec<usize>,
-    live_adj: Vec<(NodeId, EdgeId, Weight)>,
+    /// `v`'s *usable* `(neighbor, edge, weight)` triples, prefiltered at
+    /// build time (the snapshot is immutable, so liveness cannot change
+    /// underneath).
+    live: LiveLane,
     node_alive: Vec<bool>,
     /// Per-edge own removal flag (endpoint liveness excluded).
     edge_alive: Vec<bool>,
@@ -92,24 +93,12 @@ impl CsrView {
             endpoints.push(base.endpoints(e).expect("edge id below edge_count"));
             weights.push(base.weight(e).expect("edge id below edge_count"));
         }
-        let mut live_offsets = Vec::with_capacity(n + 1);
-        let mut live_adj = Vec::new();
-        live_offsets.push(0);
-        for i in 0..n {
-            if node_alive[i] {
-                for &(u, e) in &adj[offsets[i]..offsets[i + 1]] {
-                    if edge_alive[e.index()] && node_alive[u.index()] {
-                        live_adj.push((u, e, weights[e.index()]));
-                    }
-                }
-            }
-            live_offsets.push(live_adj.len());
-        }
+        let mut live = LiveLane::new();
+        live.pack(base);
         CsrView {
             offsets,
             adj,
-            live_offsets,
-            live_adj,
+            live,
             node_alive,
             edge_alive,
             endpoints,
@@ -173,12 +162,7 @@ impl GraphView for CsrView {
     }
 
     fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, Weight)> + '_ {
-        let range = if v.index() < self.node_alive.len() {
-            self.live_offsets[v.index()]..self.live_offsets[v.index() + 1]
-        } else {
-            0..0
-        };
-        self.live_adj[range].iter().copied()
+        self.live.neighbors(v)
     }
 
     fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
@@ -207,6 +191,144 @@ impl OverlayBase for CsrView {
 
     fn base_edge_alive(&self, e: EdgeId) -> bool {
         self.edge_alive.get(e.index()).copied().unwrap_or(false)
+    }
+}
+
+/// A view's usable adjacency packed into one contiguous array: entries
+/// `offsets[v]..offsets[v + 1]` are `v`'s `(neighbor, edge, weight)`
+/// triples, in the view's own [`neighbors`](GraphView::neighbors) order.
+///
+/// Repacking reuses both buffers, so a lane that outlives many packs
+/// (one per routed net) allocates only while it grows.
+///
+/// # Example
+///
+/// ```
+/// use route_graph::{Graph, GraphView, LaneView, LiveLane, Weight};
+///
+/// # fn main() -> Result<(), route_graph::GraphError> {
+/// let mut g = Graph::with_nodes(3);
+/// let n: Vec<_> = g.node_ids().collect();
+/// g.add_edge(n[0], n[1], Weight::from_units(2))?;
+/// g.add_edge(n[1], n[2], Weight::from_units(3))?;
+/// let mut lane = LiveLane::new();
+/// lane.pack(&g);
+/// let view = LaneView::new(&g, &lane);
+/// assert_eq!(view.neighbors(n[1]).count(), 2);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct LiveLane {
+    offsets: Vec<u32>,
+    entries: Vec<(NodeId, EdgeId, Weight)>,
+}
+
+impl LiveLane {
+    /// An empty lane; buffers grow on the first [`pack`](Self::pack).
+    #[must_use]
+    pub fn new() -> LiveLane {
+        LiveLane::default()
+    }
+
+    /// Replaces the lane's contents with `g`'s usable adjacency.
+    /// `O(nodes + edges)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` has `u32::MAX` or more adjacency entries.
+    pub fn pack<G: GraphView>(&mut self, g: &G) {
+        self.offsets.clear();
+        self.entries.clear();
+        self.offsets.push(0);
+        for i in 0..g.node_count() {
+            let v = NodeId::from_index(i);
+            if g.is_node_live(v) {
+                self.entries.extend(g.neighbors(v));
+            }
+            let end = u32::try_from(self.entries.len()).expect("adjacency fits u32 offsets");
+            self.offsets.push(end);
+        }
+    }
+
+    /// `v`'s packed triples (none for nodes beyond the packed range).
+    pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, Weight)> + '_ {
+        let range = match (self.offsets.get(v.index()), self.offsets.get(v.index() + 1)) {
+            (Some(&start), Some(&end)) => start as usize..end as usize,
+            _ => 0..0,
+        };
+        self.entries[range].iter().copied()
+    }
+}
+
+/// A view that serves [`neighbors`](GraphView::neighbors) from a
+/// [`LiveLane`] and hands every other query to the view it wraps.
+///
+/// The lane must have been packed from `inner` in its current state;
+/// then the two views are indistinguishable, and every shortest-path
+/// run over this one relaxes contiguous triples instead of re-resolving
+/// `inner`'s liveness, overlay deltas and weight wrappers per edge.
+#[derive(Debug)]
+pub struct LaneView<'a, G> {
+    inner: &'a G,
+    lane: &'a LiveLane,
+}
+
+impl<'a, G: GraphView> LaneView<'a, G> {
+    /// Wraps `inner`, whose adjacency `lane` holds.
+    #[must_use]
+    pub fn new(inner: &'a G, lane: &'a LiveLane) -> LaneView<'a, G> {
+        LaneView { inner, lane }
+    }
+}
+
+impl<G: GraphView> GraphView for LaneView<'_, G> {
+    fn node_count(&self) -> usize {
+        self.inner.node_count()
+    }
+
+    fn edge_count(&self) -> usize {
+        self.inner.edge_count()
+    }
+
+    fn live_node_count(&self) -> usize {
+        self.inner.live_node_count()
+    }
+
+    fn live_edge_count(&self) -> usize {
+        self.inner.live_edge_count()
+    }
+
+    fn is_node_live(&self, v: NodeId) -> bool {
+        self.inner.is_node_live(v)
+    }
+
+    fn is_edge_usable(&self, e: EdgeId) -> bool {
+        self.inner.is_edge_usable(e)
+    }
+
+    fn endpoints(&self, e: EdgeId) -> Result<(NodeId, NodeId), GraphError> {
+        self.inner.endpoints(e)
+    }
+
+    fn weight(&self, e: EdgeId) -> Result<Weight, GraphError> {
+        self.inner.weight(e)
+    }
+
+    fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, Weight)> + '_ {
+        self.lane.neighbors(v)
+    }
+
+    fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.inner.node_ids()
+    }
+
+    fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
+        self.inner.edge_ids()
+    }
+
+    fn epoch(&self) -> u64 {
+        self.inner.epoch()
     }
 }
 

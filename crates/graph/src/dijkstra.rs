@@ -2,13 +2,22 @@
 //!
 //! One generic kernel serves both modes. The heap priority is the tuple
 //! `(dist + h(v), dist)`: under the zero potential that is `(d, d)`, which
-//! compares exactly like the bare distance the historical kernel queued,
-//! so plain runs are bit-identical to the pre-A* implementation. Under an
-//! admissible consistent potential the same loop becomes goal-oriented A*
-//! — settled distances are unchanged and, with the canonical parent
-//! tie-break below, returned paths are too (DESIGN.md §5g).
+//! compares exactly like the bare distance. Under an admissible consistent
+//! potential the same loop becomes goal-oriented A* — settled distances
+//! are unchanged and, with the canonical parent tie-break below, returned
+//! paths are too (DESIGN.md §5g).
+//!
+//! The frontier is a lazy-deletion binary heap of `(rank, node)` entries
+//! over a generation-stamped tentative-distance array: an improvement
+//! pushes a fresh entry instead of decreasing a key in place, and an
+//! entry whose node has already settled is skipped when it pops. Equal
+//! ranks pop in ascending node index. Every per-query buffer lives in a
+//! reusable [`KernelScratch`], so a query allocates nothing beyond the
+//! [`ShortestPaths`] table it returns ([`minpath_with`] not even that).
 
-use crate::heap::IndexedBinaryHeap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::lowerbound::{Potential, ZeroPotential};
 use crate::view::GraphView;
 use crate::{EdgeId, GraphError, NodeId, Path, Weight};
@@ -18,8 +27,15 @@ use crate::{EdgeId, GraphError, NodeId, Path, Weight};
 /// identical-paths guarantee of the guided kernel relies on.
 type Rank = (Weight, Weight);
 
+/// A frontier entry: the rank, then the node index, so that equal ranks
+/// pop in ascending node order.
+type Entry = Reverse<(Rank, u32)>;
+
+/// The packed `(node, edge)` parent of a source: it has none.
+const NO_PARENT: (u32, u32) = (u32::MAX, u32::MAX);
+
 /// The result of a Dijkstra run from one source: distances and parent links
-/// for every reachable live node.
+/// for every settled live node.
 ///
 /// This is the workhorse of every heuristic in the paper — `minpath_G(u, v)`
 /// queries, distance-graph construction (KMB/ZEL/DOM), shortest-path trees
@@ -51,8 +67,14 @@ type Rank = (Weight, Weight);
 #[derive(Debug, Clone)]
 pub struct ShortestPaths {
     source: NodeId,
-    dist: Vec<Option<Weight>>,
-    parent: Vec<Option<(NodeId, EdgeId)>>,
+    /// `dist[i]` is node `i`'s distance once it has settled; entries of
+    /// unsettled nodes are meaningless.
+    dist: Vec<Weight>,
+    /// One bit per node, set when the node settles.
+    settled: Vec<u64>,
+    /// Packed `(node, edge)` indices of each settled node's parent
+    /// ([`NO_PARENT`] for the source); meaningless for unsettled nodes.
+    parent: Vec<(u32, u32)>,
 }
 
 impl ShortestPaths {
@@ -63,8 +85,7 @@ impl ShortestPaths {
     /// Returns [`GraphError::NodeOutOfBounds`] or [`GraphError::NodeRemoved`]
     /// if the source is invalid.
     pub fn run<G: GraphView>(g: &G, source: NodeId) -> Result<ShortestPaths, GraphError> {
-        let mut heap = IndexedBinaryHeap::new(g.node_count());
-        Self::run_until(g, source, &ZeroPotential, &mut heap, |_| false)
+        Self::run_in(g, source, None, &ZeroPotential, &mut KernelScratch::new())
     }
 
     /// Runs goal-oriented (A*) search from `source`, ordering the frontier
@@ -88,8 +109,7 @@ impl ShortestPaths {
         source: NodeId,
         potential: &P,
     ) -> Result<ShortestPaths, GraphError> {
-        let mut heap = IndexedBinaryHeap::new(g.node_count());
-        Self::run_until(g, source, potential, &mut heap, |_| false)
+        Self::run_in(g, source, None, potential, &mut KernelScratch::new())
     }
 
     /// Runs Dijkstra from `source`, stopping early once every node in
@@ -126,27 +146,19 @@ impl ShortestPaths {
         targets: &[NodeId],
         potential: &P,
     ) -> Result<ShortestPaths, GraphError> {
-        let mut remaining: Vec<bool> = vec![false; g.node_count()];
-        let mut missing = 0usize;
-        for &t in targets {
-            if t.index() < remaining.len() && !remaining[t.index()] {
-                remaining[t.index()] = true;
-                missing += 1;
-            }
-        }
-        let mut heap = IndexedBinaryHeap::new(g.node_count());
-        Self::run_until(g, source, potential, &mut heap, move |settled: NodeId| {
-            if remaining[settled.index()] {
-                remaining[settled.index()] = false;
-                missing -= 1;
-            }
-            missing == 0
-        })
+        Self::run_in(
+            g,
+            source,
+            Some(targets),
+            potential,
+            &mut KernelScratch::new(),
+        )
     }
 
     /// Scratch-arena variant of [`run_to_targets`]: reuses the caller's
-    /// heap and target-flag buffers instead of allocating per query. The
-    /// result is identical to the allocating entry point.
+    /// frontier, tentative-distance and target-flag buffers instead of
+    /// allocating them per query. The result is identical to the
+    /// allocating entry point.
     ///
     /// # Errors
     ///
@@ -160,142 +172,62 @@ impl ShortestPaths {
         targets: &[NodeId],
         scratch: &mut KernelScratch,
     ) -> Result<ShortestPaths, GraphError> {
+        Self::run_in(g, source, Some(targets), &ZeroPotential, scratch)
+    }
+
+    /// The query every entry point runs: from `source` until each node of
+    /// `targets` has settled, or over the whole reachable component when
+    /// `targets` is `None`, with all transient state in `scratch`.
+    pub(crate) fn run_in<G: GraphView, P: Potential>(
+        g: &G,
+        source: NodeId,
+        targets: Option<&[NodeId]>,
+        potential: &P,
+        scratch: &mut KernelScratch,
+    ) -> Result<ShortestPaths, GraphError> {
+        g.require_live_node(source)?;
         let n = g.node_count();
-        scratch.reserve(n);
-        let KernelScratch { heap, flags, .. } = scratch;
-        heap.clear();
+        let mut out = ShortestPaths {
+            source,
+            dist: vec![Weight::ZERO; n],
+            settled: vec![0; n.div_ceil(64)],
+            parent: vec![(0, 0); n],
+        };
+        let KernelScratch {
+            search: state,
+            flags,
+        } = scratch;
+        if flags.len() < n {
+            flags.resize(n, false);
+        }
         let mut missing = 0usize;
-        for &t in targets.iter() {
+        for &t in targets.unwrap_or_default() {
             if t.index() < n && !flags[t.index()] {
                 flags[t.index()] = true;
                 missing += 1;
             }
         }
-        let res = Self::run_until(g, source, &ZeroPotential, heap, |settled: NodeId| {
-            if flags[settled.index()] {
-                flags[settled.index()] = false;
+        let watch = targets.is_some();
+        let done = |v: NodeId| {
+            if flags[v.index()] {
+                flags[v.index()] = false;
                 missing -= 1;
             }
-            missing == 0
+            watch && missing == 0
+        };
+        search(g, source, potential, state, done, |v, d, p| {
+            out.dist[v] = d;
+            out.settled[v / 64] |= 1 << (v % 64);
+            out.parent[v] = p;
         });
         // Leave the flag buffer all-false for the next query (early exit
         // clears settled targets; unsettled ones are cleared here).
-        for &t in targets.iter() {
+        for &t in targets.unwrap_or_default() {
             if t.index() < n {
                 flags[t.index()] = false;
             }
         }
-        res
-    }
-
-    fn run_until<G: GraphView, P: Potential>(
-        g: &G,
-        source: NodeId,
-        potential: &P,
-        heap: &mut IndexedBinaryHeap<Rank>,
-        done: impl FnMut(NodeId) -> bool,
-    ) -> Result<ShortestPaths, GraphError> {
-        // Monomorphize the hot loop on the instrumentation flag so the
-        // common untraced case carries no tally counters and no branches
-        // — the relaxation loop is the router's hottest path and even
-        // well-predicted branches there are measurable in the timing
-        // bench.
-        if route_trace::enabled() {
-            Self::run_until_impl::<G, P, true>(g, source, potential, heap, done)
-        } else {
-            Self::run_until_impl::<G, P, false>(g, source, potential, heap, done)
-        }
-    }
-
-    fn run_until_impl<G: GraphView, P: Potential, const TRACED: bool>(
-        g: &G,
-        source: NodeId,
-        potential: &P,
-        heap: &mut IndexedBinaryHeap<Rank>,
-        mut done: impl FnMut(NodeId) -> bool,
-    ) -> Result<ShortestPaths, GraphError> {
-        g.require_live_node(source)?;
-        // Tally locally and flush once at the end: a thread-local lookup
-        // per edge would be measurable. Wall-clock is captured under the
-        // same TRACED gate — untraced runs never touch the clock.
-        let started = if TRACED {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        let mut pops = 0u64;
-        let mut relaxations = 0u64;
-        let mut pushes = 0u64;
-        let n = g.node_count();
-        let mut dist: Vec<Option<Weight>> = vec![None; n];
-        let mut parent: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
-        heap.ensure_keys(n);
-        heap.push(source.index(), (potential.h(source), Weight::ZERO));
-        if TRACED {
-            pushes += 1;
-        }
-        while let Some((vi, (_, d))) = heap.pop() {
-            if TRACED {
-                pops += 1;
-            }
-            let v = NodeId::from_index(vi);
-            dist[vi] = Some(d);
-            if done(v) {
-                break;
-            }
-            for (u, e, w) in g.neighbors(v) {
-                if TRACED {
-                    relaxations += 1;
-                }
-                if dist[u.index()].is_some() {
-                    continue; // settled
-                }
-                // Saturate: near-`Weight::MAX` congestion weights must rank
-                // as "infinitely far", not panic the relaxation.
-                let nd = d.saturating_add(w);
-                let rank: Rank = (nd.saturating_add(potential.h(u)), nd);
-                if heap.push(u.index(), rank) {
-                    if TRACED {
-                        pushes += 1;
-                    }
-                    parent[u.index()] = Some((v, e));
-                } else if heap.priority(u.index()) == Some(rank) {
-                    // Canonical tie-break: among equal-cost predecessors,
-                    // keep the lexicographically smallest (node, edge)
-                    // pair. This makes the chosen parent a function of the
-                    // *set* of achieving predecessors rather than of their
-                    // relaxation order, which is what lets the guided and
-                    // plain kernels return bit-identical paths even though
-                    // they relax in different orders (DESIGN.md §5g).
-                    if let Some((pv, pe)) = parent[u.index()] {
-                        if (v.index(), e.index()) < (pv.index(), pe.index()) {
-                            parent[u.index()] = Some((v, e));
-                        }
-                    }
-                }
-            }
-        }
-        if TRACED {
-            route_trace::count(route_trace::Counter::DijkstraRuns, 1);
-            route_trace::count(route_trace::Counter::DijkstraHeapPops, pops);
-            route_trace::count(route_trace::Counter::DijkstraRelaxations, relaxations);
-            route_trace::count(route_trace::Counter::HeapPushes, pushes);
-            if !potential.is_zero() {
-                // Whatever the early exit left queued is frontier work a
-                // plain run would (mostly) have settled — the A* dividend.
-                route_trace::count(route_trace::Counter::AstarPrunedNodes, heap.len() as u64);
-            }
-            if let Some(started) = started {
-                let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                route_trace::record_duration(route_trace::Metric::DijkstraRunNs, ns);
-                route_trace::record_duration(route_trace::Metric::KernelQueryNs, ns);
-            }
-        }
-        Ok(ShortestPaths {
-            source,
-            dist,
-            parent,
-        })
+        Ok(out)
     }
 
     /// The source this run started from.
@@ -304,19 +236,29 @@ impl ShortestPaths {
         self.source
     }
 
+    fn is_settled(&self, i: usize) -> bool {
+        self.settled
+            .get(i / 64)
+            .is_some_and(|word| word & (1 << (i % 64)) != 0)
+    }
+
     /// Shortest-path distance to `v`, or `None` if `v` was unreachable (or
     /// not settled under early termination).
     #[must_use]
     pub fn dist(&self, v: NodeId) -> Option<Weight> {
-        self.dist.get(v.index()).copied().flatten()
+        self.is_settled(v.index()).then(|| self.dist[v.index()])
     }
 
     /// The parent `(node, edge)` of `v` in the shortest-path tree.
     ///
-    /// `None` for the source and for unreached nodes.
+    /// `None` for the source and for unsettled nodes.
     #[must_use]
     pub fn parent(&self, v: NodeId) -> Option<(NodeId, EdgeId)> {
-        self.parent.get(v.index()).copied().flatten()
+        if !self.is_settled(v.index()) {
+            return None;
+        }
+        let (p, e) = self.parent[v.index()];
+        (p != NO_PARENT.0).then_some((NodeId(p), EdgeId(e)))
     }
 
     /// Extracts the shortest path from the source to `target`.
@@ -342,33 +284,95 @@ impl ShortestPaths {
         Ok(Path::from_raw(nodes, edges, cost))
     }
 
-    /// Iterates over all `(node, distance)` pairs that were settled.
+    /// Iterates over all `(node, distance)` pairs that were settled, in
+    /// ascending node order.
+    ///
+    /// Under early termination the set stops at the last target to
+    /// settle: every node ranked strictly below it has settled, but nodes
+    /// *tied* with it (same rank) may or may not have, since the frontier
+    /// breaks rank ties by node index. Callers of a target-restricted run
+    /// should therefore read only its targets.
     pub fn reached(&self) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
-        self.dist
-            .iter()
-            .enumerate()
-            .filter_map(|(i, d)| d.map(|d| (NodeId::from_index(i), d)))
+        (0..self.dist.len())
+            .filter(|&i| self.is_settled(i))
+            .map(|i| (NodeId::from_index(i), self.dist[i]))
+    }
+}
+
+/// Per-node kernel state, valid only while `stamp` carries the current
+/// query's generation.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// `gen` while queued, `gen + 1` once settled; anything else means
+    /// the node has not been reached by the current query.
+    stamp: u32,
+    /// Packed `(node, edge)` of the best predecessor found so far.
+    parent: (u32, u32),
+    /// Tentative (final, once settled) distance.
+    dist: Weight,
+}
+
+/// The frontier heap and per-node slots of one query.
+#[derive(Debug, Default)]
+struct SearchState {
+    heap: BinaryHeap<Entry>,
+    /// Even generation of the current query; see [`Slot::stamp`].
+    gen: u32,
+    slots: Vec<Slot>,
+}
+
+impl SearchState {
+    /// Starts a query over nodes `0..n`: empties the heap and advances
+    /// the generation, so every slot reads as unreached without being
+    /// cleared. Returns the new generation.
+    fn begin(&mut self, n: usize) -> u32 {
+        if self.slots.len() < n {
+            self.slots.resize(n, Slot::default());
+        }
+        self.heap.clear();
+        self.gen = match self.gen.checked_add(2) {
+            Some(gen) => gen,
+            None => {
+                // Generation wrap-around: old stamps could collide with
+                // new ones, so clear them once and start over.
+                for slot in &mut self.slots {
+                    slot.stamp = 0;
+                }
+                2
+            }
+        };
+        self.gen
+    }
+
+    /// The settled distance of `v` in the last query, if it settled.
+    fn settled_dist(&self, v: NodeId) -> Option<Weight> {
+        let slot = self.slots.get(v.index())?;
+        (slot.stamp == self.gen + 1).then_some(slot.dist)
     }
 }
 
 /// Reusable per-query buffers for the shortest-path kernel.
 ///
-/// One query's transient state — the indexed heap, the target-flag vector,
-/// and a generation-stamped distance array for point-to-point queries —
-/// amounts to several `O(node_count)` allocations. A scratch arena (held
-/// by [`DistanceOracle`](crate::DistanceOracle)) amortizes them across the
-/// thousands of kernel queries a routing pass issues.
-#[derive(Debug, Clone, Default)]
+/// One query's transient state — the frontier heap, the tentative
+/// distances and parents, and the target flags — amounts to several
+/// `O(node_count)` buffers. A scratch arena amortizes them across the
+/// queries of one owner: [`TerminalDistances`](crate::TerminalDistances)
+/// shares one across its per-terminal runs and appended terminals,
+/// [`DistanceOracle`](crate::DistanceOracle) across its whole life.
+///
+/// Cloning yields an empty arena: a scratch holds no state between
+/// queries, so there is nothing worth copying.
+#[derive(Debug, Default)]
 pub struct KernelScratch {
-    /// Frontier heap, cleared (not reallocated) between queries.
-    heap: IndexedBinaryHeap<Rank>,
+    search: SearchState,
     /// Target marks for early termination, all-false between queries.
     flags: Vec<bool>,
-    /// Generation stamp validating `dist` entries without clearing them.
-    stamp: u64,
-    /// `dist[i]` is meaningful iff `dist_stamp[i] == stamp`.
-    dist_stamp: Vec<u64>,
-    dist: Vec<Weight>,
+}
+
+impl Clone for KernelScratch {
+    fn clone(&self) -> KernelScratch {
+        KernelScratch::default()
+    }
 }
 
 impl KernelScratch {
@@ -377,16 +381,139 @@ impl KernelScratch {
     pub fn new() -> KernelScratch {
         KernelScratch::default()
     }
+}
 
-    /// Grows every buffer to cover node indices `0..n`.
-    fn reserve(&mut self, n: usize) {
-        self.heap.ensure_keys(n);
-        if self.flags.len() < n {
-            self.flags.resize(n, false);
+/// Runs one query over `state`: settles nodes from `source` in rank
+/// order, reporting each to `settle` as `(node index, distance, packed
+/// parent)`, until `done` returns `true` for a settled node or the
+/// frontier empties.
+fn search<G: GraphView, P: Potential>(
+    g: &G,
+    source: NodeId,
+    potential: &P,
+    state: &mut SearchState,
+    done: impl FnMut(NodeId) -> bool,
+    settle: impl FnMut(usize, Weight, (u32, u32)),
+) {
+    // Monomorphize the hot loop on the instrumentation flag so the
+    // common untraced case carries no tally counters and no branches
+    // — the relaxation loop is the router's hottest path and even
+    // well-predicted branches there are measurable in the timing
+    // bench.
+    if route_trace::enabled() {
+        search_impl::<G, P, true>(g, source, potential, state, done, settle);
+    } else {
+        search_impl::<G, P, false>(g, source, potential, state, done, settle);
+    }
+}
+
+fn search_impl<G: GraphView, P: Potential, const TRACED: bool>(
+    g: &G,
+    source: NodeId,
+    potential: &P,
+    state: &mut SearchState,
+    mut done: impl FnMut(NodeId) -> bool,
+    mut settle: impl FnMut(usize, Weight, (u32, u32)),
+) {
+    // Tally locally and flush once at the end: a thread-local lookup
+    // per edge would be measurable. Wall-clock is captured under the
+    // same TRACED gate — untraced runs never touch the clock.
+    let started = if TRACED {
+        Some(std::time::Instant::now())
+    } else {
+        None
+    };
+    let mut pops = 0u64;
+    let mut relaxations = 0u64;
+    let mut pushes = 0u64;
+    let gen = state.begin(g.node_count());
+    let settled = gen + 1;
+    let SearchState { heap, slots, .. } = state;
+    slots[source.index()] = Slot {
+        stamp: gen,
+        parent: NO_PARENT,
+        dist: Weight::ZERO,
+    };
+    heap.push(Reverse(((potential.h(source), Weight::ZERO), source.0)));
+    if TRACED {
+        pushes += 1;
+    }
+    while let Some(Reverse(((_, d), vi))) = heap.pop() {
+        let slot = &mut slots[vi as usize];
+        if slot.stamp == settled {
+            continue; // superseded: a cheaper entry already settled it
         }
-        if self.dist_stamp.len() < n {
-            self.dist_stamp.resize(n, 0);
-            self.dist.resize(n, Weight::ZERO);
+        // Entries are pushed only on strict improvement, so the first
+        // entry of a node to pop is its current one.
+        slot.stamp = settled;
+        if TRACED {
+            pops += 1;
+        }
+        settle(vi as usize, d, slot.parent);
+        let v = NodeId(vi);
+        if done(v) {
+            break;
+        }
+        for (u, e, w) in g.neighbors(v) {
+            if TRACED {
+                relaxations += 1;
+            }
+            let slot = &mut slots[u.index()];
+            if slot.stamp == settled {
+                continue;
+            }
+            // Saturate: near-`Weight::MAX` congestion weights must rank
+            // as "infinitely far", not panic the relaxation.
+            let nd = d.saturating_add(w);
+            let via = (vi, e.0);
+            if slot.stamp == gen {
+                if nd == slot.dist && via < slot.parent {
+                    // Canonical tie-break: among equal-cost predecessors,
+                    // keep the lexicographically smallest (node, edge)
+                    // pair. This makes the chosen parent a function of the
+                    // *set* of achieving predecessors rather than of their
+                    // relaxation order, which is what lets the guided and
+                    // plain kernels return bit-identical paths even though
+                    // they relax in different orders (DESIGN.md §5g).
+                    slot.parent = via;
+                }
+                if nd >= slot.dist {
+                    continue;
+                }
+            }
+            *slot = Slot {
+                stamp: gen,
+                parent: via,
+                dist: nd,
+            };
+            heap.push(Reverse(((nd.saturating_add(potential.h(u)), nd), u.0)));
+            if TRACED {
+                pushes += 1;
+            }
+        }
+    }
+    if TRACED {
+        route_trace::count(route_trace::Counter::DijkstraRuns, 1);
+        route_trace::count(route_trace::Counter::DijkstraHeapPops, pops);
+        route_trace::count(route_trace::Counter::DijkstraRelaxations, relaxations);
+        route_trace::count(route_trace::Counter::HeapPushes, pushes);
+        if !potential.is_zero() {
+            // Whatever the early exit left queued is frontier work a
+            // plain run would (mostly) have settled — the A* dividend.
+            // Each still-queued node has exactly one current entry.
+            let pruned = heap
+                .iter()
+                .filter(|&&Reverse(((_, d), u))| {
+                    let slot = slots[u as usize];
+                    slot.stamp == gen && slot.dist == d
+                })
+                .count();
+            route_trace::count(route_trace::Counter::AstarPrunedNodes, pruned as u64);
+        }
+        if let Some(started) = started {
+            let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            route_trace::record_duration(route_trace::Metric::DijkstraRunNs, ns);
+            route_trace::record_duration(route_trace::Metric::KernelQueryNs, ns);
         }
     }
 }
@@ -399,10 +526,7 @@ impl KernelScratch {
 /// Returns [`GraphError::NodeRemoved`] / [`GraphError::NodeOutOfBounds`] for
 /// an invalid endpoint, or [`GraphError::Disconnected`] if no path exists.
 pub fn minpath<G: GraphView>(g: &G, u: NodeId, v: NodeId) -> Result<Weight, GraphError> {
-    g.require_live_node(v)?;
-    let sp = ShortestPaths::run_to_targets(g, u, &[v])?;
-    sp.dist(v)
-        .ok_or(GraphError::Disconnected { from: u, to: v })
+    minpath_with(g, u, v, &mut KernelScratch::new())
 }
 
 /// Goal-oriented variant of [`minpath`]: the early-terminating query is
@@ -419,14 +543,11 @@ pub fn minpath_guided<G: GraphView, P: Potential>(
     v: NodeId,
     potential: &P,
 ) -> Result<Weight, GraphError> {
-    g.require_live_node(v)?;
-    let sp = ShortestPaths::run_to_targets_guided(g, u, &[v], potential)?;
-    sp.dist(v)
-        .ok_or(GraphError::Disconnected { from: u, to: v })
+    minpath_in(g, u, v, potential, &mut KernelScratch::new())
 }
 
-/// Allocation-free variant of [`minpath`] over a scratch arena: the heap
-/// and distance array are reused across queries, and no
+/// Allocation-free variant of [`minpath`] over a scratch arena: the
+/// frontier and tentative distances are reused across queries, and no
 /// `ShortestPaths` table is materialized. Returns exactly what [`minpath`]
 /// returns for the same arguments.
 ///
@@ -440,61 +561,23 @@ pub fn minpath_with<G: GraphView>(
     v: NodeId,
     scratch: &mut KernelScratch,
 ) -> Result<Weight, GraphError> {
+    minpath_in(g, u, v, &ZeroPotential, scratch)
+}
+
+fn minpath_in<G: GraphView, P: Potential>(
+    g: &G,
+    u: NodeId,
+    v: NodeId,
+    potential: &P,
+    scratch: &mut KernelScratch,
+) -> Result<Weight, GraphError> {
     g.require_live_node(v)?;
     g.require_live_node(u)?;
-    let traced = route_trace::enabled();
-    let started = if traced {
-        Some(std::time::Instant::now())
-    } else {
-        None
-    };
-    let n = g.node_count();
-    scratch.reserve(n);
-    scratch.stamp = scratch.stamp.wrapping_add(1);
-    let stamp = scratch.stamp;
-    let KernelScratch {
-        heap,
-        dist_stamp,
-        dist,
-        ..
-    } = scratch;
-    heap.clear();
-    let mut pops = 0u64;
-    let mut relaxations = 0u64;
-    let mut pushes = 1u64;
-    heap.push(u.index(), (Weight::ZERO, Weight::ZERO));
-    let mut found: Option<Weight> = None;
-    while let Some((vi, (_, d))) = heap.pop() {
-        pops += 1;
-        dist_stamp[vi] = stamp;
-        dist[vi] = d;
-        if vi == v.index() {
-            found = Some(d);
-            break;
-        }
-        for (w_node, _, w) in g.neighbors(NodeId::from_index(vi)) {
-            relaxations += 1;
-            if dist_stamp[w_node.index()] == stamp {
-                continue; // settled this query
-            }
-            let nd = d.saturating_add(w);
-            if heap.push(w_node.index(), (nd, nd)) {
-                pushes += 1;
-            }
-        }
-    }
-    if traced {
-        route_trace::count(route_trace::Counter::DijkstraRuns, 1);
-        route_trace::count(route_trace::Counter::DijkstraHeapPops, pops);
-        route_trace::count(route_trace::Counter::DijkstraRelaxations, relaxations);
-        route_trace::count(route_trace::Counter::HeapPushes, pushes);
-        if let Some(started) = started {
-            let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            route_trace::record_duration(route_trace::Metric::DijkstraRunNs, ns);
-            route_trace::record_duration(route_trace::Metric::KernelQueryNs, ns);
-        }
-    }
-    found.ok_or(GraphError::Disconnected { from: u, to: v })
+    let state = &mut scratch.search;
+    search(g, u, potential, state, |settled| settled == v, |_, _, _| {});
+    state
+        .settled_dist(v)
+        .ok_or(GraphError::Disconnected { from: u, to: v })
 }
 
 #[cfg(test)]
@@ -629,6 +712,44 @@ mod tests {
         let sp = ShortestPaths::run(&g, n[0]).unwrap();
         assert_eq!(sp.dist(n[2]), Some(Weight::ZERO));
         assert_eq!(sp.path_to(n[2]).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn scratch_survives_generation_wrap_around() {
+        let (g, n) = diamond();
+        let fresh = ShortestPaths::run_to_targets(&g, n[0], &[n[3], n[4]]).unwrap();
+        let mut scratch = KernelScratch::new();
+        // Leave stale stamps behind, then force the next queries across
+        // the wrap: stale slots must read as unreached, not as settled.
+        ShortestPaths::run_to_targets_with(&g, n[1], &[n[4]], &mut scratch).unwrap();
+        scratch.search.gen = u32::MAX - 3;
+        for _ in 0..3 {
+            let sp =
+                ShortestPaths::run_to_targets_with(&g, n[0], &[n[3], n[4]], &mut scratch).unwrap();
+            for &v in &n {
+                assert_eq!(sp.dist(v), fresh.dist(v), "dist({v})");
+                assert_eq!(sp.parent(v), fresh.parent(v), "parent({v})");
+            }
+            assert_eq!(
+                minpath_with(&g, n[0], n[4], &mut scratch).unwrap(),
+                Weight::from_units(20)
+            );
+        }
+        assert!(
+            scratch.search.gen < 16,
+            "the generation wrapped and restarted"
+        );
+    }
+
+    #[test]
+    fn parent_is_reported_for_settled_nodes_only() {
+        let (g, n) = diamond();
+        let sp = ShortestPaths::run_to_targets(&g, n[0], &[n[1]]).unwrap();
+        assert_eq!(sp.parent(n[0]), None, "the source has no parent");
+        assert_eq!(sp.parent(n[1]).map(|(p, _)| p), Some(n[0]));
+        // n5 was queued (via the 14-weight edge) but never settled.
+        assert_eq!(sp.dist(n[5]), None);
+        assert_eq!(sp.parent(n[5]), None);
     }
 
     #[test]

@@ -56,6 +56,9 @@ pub struct TerminalDistances {
     /// settled; distances outside the set may be absent. `None` means
     /// full runs — distances to the whole live component are available.
     targets: Option<Vec<NodeId>>,
+    /// Kernel buffers shared by every per-terminal run and every
+    /// [`push_terminal`](Self::push_terminal).
+    scratch: KernelScratch,
 }
 
 impl TerminalDistances {
@@ -149,27 +152,20 @@ impl TerminalDistances {
             }
             seen[t.index()] = true;
         }
+        let mut scratch = KernelScratch::new();
         let sp = terminals
             .iter()
-            .map(|&t| Self::one_run(g, t, &targets, potential).map(Rc::new))
+            .map(|&t| {
+                ShortestPaths::run_in(g, t, targets.as_deref(), potential, &mut scratch)
+                    .map(Rc::new)
+            })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(TerminalDistances {
             terminals: terminals.to_vec(),
             sp,
             targets,
+            scratch,
         })
-    }
-
-    fn one_run<G: GraphView, P: Potential>(
-        g: &G,
-        t: NodeId,
-        targets: &Option<Vec<NodeId>>,
-        potential: &P,
-    ) -> Result<ShortestPaths, GraphError> {
-        match targets {
-            Some(set) => ShortestPaths::run_to_targets_guided(g, t, set, potential),
-            None => ShortestPaths::run_guided(g, t, potential),
-        }
     }
 
     /// The terminal list, in index order.
@@ -276,10 +272,13 @@ impl TerminalDistances {
         // A target-restricted instance keeps the restriction: the new
         // run stops at the same target set, so cross-queries between any
         // two members (all members are targets) remain exact.
-        let run = match &self.targets {
-            Some(set) => ShortestPaths::run_to_targets(g, v, set)?,
-            None => ShortestPaths::run(g, v)?,
-        };
+        let run = ShortestPaths::run_in(
+            g,
+            v,
+            self.targets.as_deref(),
+            &ZeroPotential,
+            &mut self.scratch,
+        )?;
         self.sp.push(Rc::new(run));
         self.terminals.push(v);
         Ok(self.terminals.len() - 1)
@@ -307,8 +306,9 @@ impl TerminalDistances {
 pub struct DistanceOracle {
     cache: HashMap<NodeId, Rc<ShortestPaths>>,
     epoch: Option<u64>,
-    /// Reusable kernel buffers for the uncached query entry points below
-    /// ([`minpath`](Self::minpath), [`run_to_targets`](Self::run_to_targets)).
+    /// Reusable kernel buffers for every query the oracle runs, cached
+    /// ([`paths`](Self::paths)) or not ([`minpath`](Self::minpath),
+    /// [`run_to_targets`](Self::run_to_targets)).
     scratch: KernelScratch,
 }
 
@@ -341,13 +341,19 @@ impl DistanceOracle {
         if let Some(sp) = self.cache.get(&source) {
             return Ok(Rc::clone(sp));
         }
-        let sp = Rc::new(ShortestPaths::run(g, source)?);
+        let sp = Rc::new(ShortestPaths::run_in(
+            g,
+            source,
+            None,
+            &ZeroPotential,
+            &mut self.scratch,
+        )?);
         self.cache.insert(source, Rc::clone(&sp));
         Ok(sp)
     }
 
     /// Computes `minpath_G(u, v)` over the oracle's scratch arena: the
-    /// heap and distance array are reused across calls
+    /// frontier and tentative distances are reused across calls
     /// instead of being reallocated per query. The answer is exactly
     /// [`dijkstra::minpath`](crate::dijkstra::minpath)'s, always computed
     /// fresh against `g` (no caching, so no epoch staleness to manage).
@@ -366,7 +372,7 @@ impl DistanceOracle {
 
     /// Early-terminating run over the oracle's scratch arena; identical
     /// results to [`ShortestPaths::run_to_targets`], minus the per-call
-    /// heap and target-flag allocations.
+    /// frontier, tentative-distance and target-flag allocations.
     ///
     /// # Errors
     ///

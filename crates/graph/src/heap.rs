@@ -1,9 +1,11 @@
 //! An indexed binary min-heap with decrease-key.
 //!
-//! Dijkstra's algorithm and Prim's algorithm both want a priority queue that
-//! supports lowering the priority of an element already in the queue. This
-//! heap indexes elements by a dense `usize` key (a node index), so
-//! decrease-key is `O(log n)` with no allocation per operation.
+//! Prim-style searches — Mehlhorn's Voronoi construction and the exact
+//! solver's layered search — want a priority queue that supports lowering
+//! the priority of an element already in the queue. This heap indexes
+//! elements by a dense `usize` key (a node index), so decrease-key is
+//! `O(log n)` with no allocation per operation. (The Dijkstra kernel
+//! uses a lazy-deletion heap instead; see [`crate::dijkstra`].)
 
 /// An indexed binary min-heap over dense `usize` keys with priorities `P`.
 ///
@@ -33,17 +35,6 @@ pub struct IndexedBinaryHeap<P> {
     pos: Vec<Option<usize>>,
 }
 
-impl<P> Default for IndexedBinaryHeap<P> {
-    /// An empty heap with no key capacity; grow it with
-    /// [`ensure_keys`](IndexedBinaryHeap::ensure_keys) before pushing.
-    fn default() -> IndexedBinaryHeap<P> {
-        IndexedBinaryHeap {
-            heap: Vec::new(),
-            pos: Vec::new(),
-        }
-    }
-}
-
 impl<P: Ord + Copy> IndexedBinaryHeap<P> {
     /// Creates a heap able to hold keys `0..capacity`.
     #[must_use]
@@ -52,24 +43,6 @@ impl<P: Ord + Copy> IndexedBinaryHeap<P> {
             heap: Vec::with_capacity(capacity.min(1024)),
             pos: vec![None; capacity],
         }
-    }
-
-    /// Grows the key capacity to at least `capacity`, keeping queued
-    /// entries intact. New keys start unqueued.
-    pub fn ensure_keys(&mut self, capacity: usize) {
-        if self.pos.len() < capacity {
-            self.pos.resize(capacity, None);
-        }
-    }
-
-    /// Empties the heap in `O(len)` without releasing its allocations, so
-    /// a scratch arena can reuse one heap across kernel queries instead of
-    /// reallocating `pos` (`O(node_count)`) per call.
-    pub fn clear(&mut self) {
-        for &(_, key) in &self.heap {
-            self.pos[key] = None;
-        }
-        self.heap.clear();
     }
 
     /// Number of queued keys.
@@ -227,35 +200,6 @@ mod tests {
         h.push(0, 2);
         assert_eq!(h.pop(), Some((0, 2)));
         assert!(h.is_empty());
-    }
-
-    #[test]
-    fn clear_resets_without_reallocation() {
-        let mut h = IndexedBinaryHeap::new(4);
-        h.push(0, 3u64);
-        h.push(1, 1);
-        h.push(3, 2);
-        h.pop();
-        h.clear();
-        assert!(h.is_empty());
-        for k in 0..4 {
-            assert_eq!(h.priority(k), None);
-        }
-        // The heap must be fully usable again after clearing.
-        h.push(3, 9);
-        h.push(0, 4);
-        assert_eq!(h.pop(), Some((0, 4)));
-        assert_eq!(h.pop(), Some((3, 9)));
-    }
-
-    #[test]
-    fn ensure_keys_grows_capacity() {
-        let mut h = IndexedBinaryHeap::new(2);
-        h.push(1, 5u64);
-        h.ensure_keys(8);
-        h.push(7, 1);
-        assert_eq!(h.pop(), Some((7, 1)));
-        assert_eq!(h.pop(), Some((1, 5)));
     }
 
     #[test]

@@ -17,17 +17,20 @@
 //!   (Definition 4.1) tests `minpath(n0, p) == minpath(n0, s) + minpath(s, p)`
 //!   and would be meaningless under floating-point drift.
 //! * [`ShortestPaths`] — Dijkstra single-source shortest paths with parent
-//!   links and path extraction, backed by the [`heap::IndexedBinaryHeap`]
-//!   decrease-key priority queue. Goal-oriented (A*) variants (`run_guided`,
-//!   `run_to_targets_guided`, `minpath_guided`) reorder the frontier by an
-//!   admissible lower bound while settling bit-identical distances and paths.
+//!   links and path extraction, over a lazy-deletion binary heap and
+//!   reusable per-query buffers ([`KernelScratch`]). Goal-oriented (A*)
+//!   variants (`run_guided`, `run_to_targets_guided`, `minpath_guided`)
+//!   reorder the frontier by an admissible lower bound while settling
+//!   bit-identical distances and paths.
 //! * [`lowerbound`] — the admissible potentials steering those variants:
 //!   grid-Manhattan bounds for RR-graph-shaped grids and ALT landmark
 //!   tables for general graphs, all in saturating [`Weight`] math.
-//! * [`csr`] — flat compressed-sparse-row adjacency snapshots
-//!   ([`csr::CsrView`]) packing `(neighbor, edge, weight)` into contiguous
-//!   arrays for cache-friendly relaxation sweeps; serves both [`GraphView`]
-//!   and [`OverlayBase`], so per-worker overlays bind over it unchanged.
+//! * [`csr`] — flat compressed-sparse-row adjacency: [`LiveLane`] packs
+//!   any view's `(neighbor, edge, weight)` triples into one contiguous
+//!   array for cache-friendly relaxation sweeps, [`LaneView`] routes over
+//!   a packed lane, and the snapshot [`csr::CsrView`] serves both
+//!   [`GraphView`] and [`OverlayBase`], so per-worker overlays bind over
+//!   it unchanged.
 //! * [`TerminalDistances`] — the *distance graph* over a net's terminals
 //!   (the complete graph whose edge weights are shortest-path costs in `G`),
 //!   the shared primitive of KMB, ZEL, DOM and the iterated constructions.
@@ -84,7 +87,7 @@ pub mod rng;
 pub mod view;
 mod weight;
 
-pub use csr::CsrView;
+pub use csr::{CsrView, LaneView, LiveLane};
 pub use dijkstra::{KernelScratch, ShortestPaths};
 pub use distgraph::{DistanceOracle, TerminalDistances};
 pub use lowerbound::{GridPotential, LandmarkPotential, Potential, ZeroPotential};
