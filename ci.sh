@@ -156,7 +156,4 @@ if [ "$kernel_gate_ok" -ne 1 ]; then
     exit 1
 fi
 
-echo "==> snapshot bench smoke (release, BENCH_QUICK)"
-BENCH_QUICK=1 cargo bench -p bench --bench snapshot
-
 echo "==> ci.sh: all green"

@@ -1,10 +1,10 @@
 //! Shortest-path kernel micro-benchmark: A* lower bounds and the
-//! flat-CSR adjacency snapshot against the seed kernel.
+//! packed per-net view against the seed kernel.
 //!
 //! Two query shapes on seeded random-weight grids — a point-to-point
 //! query and the router's staple multi-target fan-out (one source,
 //! a clustered far target set) — each timed in a 2×2 matrix:
-//! {plain, A*-guided} × {`Graph` adjacency lists, [`CsrView`]}. A
+//! {plain, A*-guided} × {`Graph` adjacency lists, a packed [`LaneView`]}. A
 //! scratch-arena `minpath` row covers the [`DistanceOracle`] reuse
 //! path. Every variant's distances are asserted equal to the seed
 //! kernel before its timing is reported, so the numbers can never come
@@ -20,7 +20,9 @@ use std::time::Instant;
 use route_graph::dijkstra::minpath;
 use route_graph::lowerbound::{GridPotential, ZeroPotential};
 use route_graph::rng::{Rng, SplitMix64};
-use route_graph::{CsrView, DistanceOracle, GridGraph, NodeId, ShortestPaths, Weight};
+use route_graph::{
+    DistanceOracle, GridGraph, LaneRules, LaneView, LiveLane, NodeId, ShortestPaths, Weight,
+};
 
 /// Output path, relative to this crate's manifest.
 const OUT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernel.json");
@@ -107,7 +109,8 @@ fn bench_size(name: &'static str, rows: usize, cols: usize, reps: usize) -> Vec<
         ("multi_target_fanout", fan.targets.as_slice()),
     ] {
         let g = fan.grid.graph();
-        let csr = CsrView::build(g);
+        let mut lane = LiveLane::new();
+        let csr = LaneView::pack(g, &mut lane, LaneRules::default());
         let pot = GridPotential::new(&fan.grid, targets).expect("potential");
         // Correctness first: every variant must settle the seed
         // kernel's distances on the target set.

@@ -332,7 +332,7 @@ fn write_json(rows: &[Row], quick: bool, selective_speedup: f64) {
     out.push_str("  },\n");
     out.push_str("  \"selective\": {\n");
     out.push_str("    \"mechanism\": \"dirty-net negotiation: after the cost update only nets touching an over-capacity node (plus staleness-flagged ones) reroute, most-congested first; skipped nets keep their trees in the usage tally and the cost update reprices only edges whose endpoint pressure changed\",\n");
-    out.push_str("    \"cost_model\": \"iteration cost tracks the remaining congestion, not circuit size; with decay off the trajectory is bit-identical across thread counts, same as full reroute\"\n");
+    out.push_str("    \"cost_model\": \"iteration cost tracks the remaining congestion, not circuit size; the trajectory is bit-identical across thread counts, same as full reroute\"\n");
     out.push_str("  },\n");
     out.push_str("  \"circuits\": [\n");
     for (i, r) in rows.iter().enumerate() {

@@ -6,8 +6,6 @@
 //! * `timing` — micro-benchmarks matching the paper's §5 CPU time
 //!   claims (all eight constructions on the `|V| = 50, |E| = 1000,
 //!   |N| = 5` random graphs, plus per-net routing on a real device);
-//! * `snapshot` — per-worker snapshot cost, `Graph::clone` versus an
-//!   overlay bind, the mechanism PathFinder's route-phase workers use;
 //! * `table1`–`table5` — `harness = false` targets that regenerate the
 //!   paper's tables (quality metrics, not timings);
 //! * `figures` — Figures 4, 10, 11, 14, 16;

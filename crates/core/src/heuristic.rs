@@ -25,8 +25,8 @@ pub trait HeuristicInfo {
 /// The graph parameter defaults to [`Graph`], so `dyn SteinerHeuristic`
 /// and existing `impl SteinerHeuristic for …` blocks keep working. The
 /// paper's core constructions implement this for every [`GraphView`],
-/// which lets PathFinder's route-phase workers drive them through
-/// [`GraphOverlay`](route_graph::GraphOverlay) snapshots without cloning.
+/// which lets the router drive them through each net's
+/// [`LaneView`](route_graph::LaneView) without mutating the graph.
 pub trait SteinerHeuristic<G: GraphView = Graph>: HeuristicInfo {
     /// Constructs a routing tree for `net` in `g`.
     ///

@@ -15,7 +15,7 @@ use steiner_route::RoutingTree;
 
 use crate::device::Device;
 use crate::netlist::Circuit;
-use crate::router::RouteOutcome;
+use crate::router::{NetScratch, RouteOutcome};
 use crate::FpgaError;
 
 /// Baseline router configuration.
@@ -77,8 +77,10 @@ impl<'d> BaselineRouter<'d> {
         let mut order: Vec<usize> = (0..circuit.net_count()).collect();
         order.sort_by_key(|&ni| std::cmp::Reverse(circuit.nets()[ni].pin_count()));
         let mut last_failure = 0usize;
-        for pass in 1..=self.config.max_passes.max(1) {
-            match self.route_pass(circuit, &order)? {
+        let mut scratch = NetScratch::new(self.device);
+        let passes = self.config.max_passes.max(1);
+        for pass in 1..=passes {
+            match self.route_pass(circuit, &order, &mut scratch)? {
                 Ok(mut outcome) => {
                     outcome.passes = pass;
                     return Ok(outcome);
@@ -96,7 +98,7 @@ impl<'d> BaselineRouter<'d> {
         }
         Err(FpgaError::Unroutable {
             channel_width: self.device.arch().channel_width,
-            passes: self.config.max_passes,
+            passes,
             failed_net: last_failure,
             overcapacity: Vec::new(),
         })
@@ -107,6 +109,7 @@ impl<'d> BaselineRouter<'d> {
         &self,
         circuit: &Circuit,
         order: &[usize],
+        scratch: &mut NetScratch,
     ) -> Result<Result<RouteOutcome, usize>, FpgaError> {
         let mut g = self.device.working_graph();
         let w = self.device.arch().channel_width as u64;
@@ -114,36 +117,36 @@ impl<'d> BaselineRouter<'d> {
         let mut trees: Vec<Option<RoutingTree>> = vec![None; circuit.net_count()];
         for &ni in order {
             let terminals = circuit.net_terminals(self.device, ni)?;
-            let masked =
-                crate::router::mask_foreign_pins(&mut g, self.device, &terminals)?;
             let source = terminals[0];
-            let mut union_edges: Vec<EdgeId> = Vec::new();
-            let mut failed = false;
-            for &sink in &terminals[1..] {
-                // Independent two-pin maze route from the source. Earlier
-                // subnets of the *same* net stay in the graph — a net may
-                // overlap itself (same signal) — but no optimization steers
-                // the route toward sharing; that is exactly the structural
-                // handicap versus the Steiner router.
-                let sp = match ShortestPaths::run_to_targets(&g, source, &[sink]) {
-                    Ok(sp) => sp,
-                    Err(GraphError::NodeRemoved(_)) | Err(GraphError::NodeOutOfBounds(_)) => {
-                        failed = true;
-                        break;
-                    }
-                    Err(e) => return Err(e.into()),
-                };
-                let Ok(path) = sp.path_to(sink) else {
-                    failed = true;
-                    break;
-                };
-                union_edges.extend_from_slice(path.edges());
-            }
-            crate::router::unmask_pins(&mut g, &masked)?;
-            if failed {
+            // Foreign pins are hidden from the maze routes (see
+            // `NetScratch`); the working graph itself is not touched.
+            let routed = scratch.with_view(self.device, &g, &terminals, None, |view| {
+                let mut union_edges: Vec<EdgeId> = Vec::new();
+                for &sink in &terminals[1..] {
+                    // Independent two-pin maze route from the source.
+                    // Earlier subnets of the *same* net stay in the graph
+                    // — a net may overlap itself (same signal) — but no
+                    // optimization steers the route toward sharing; that
+                    // is exactly the structural handicap versus the
+                    // Steiner router.
+                    let sp = match ShortestPaths::run_to_targets(view, source, &[sink]) {
+                        Ok(sp) => sp,
+                        Err(GraphError::NodeRemoved(_) | GraphError::NodeOutOfBounds(_)) => {
+                            return Ok(None);
+                        }
+                        Err(e) => return Err(e),
+                    };
+                    let Ok(path) = sp.path_to(sink) else {
+                        return Ok(None);
+                    };
+                    union_edges.extend_from_slice(path.edges());
+                }
+                Ok(Some(union_edges))
+            })?;
+            let Some(union_edges) = routed else {
                 // The pass is abandoned; the working graph is dropped.
                 return Ok(Err(ni));
-            }
+            };
             // Independently routed subnets can diverge and reconverge;
             // collapse the union to a tree and drop dangling remnants.
             let forest = route_graph::mst::kruskal_subgraph(&g, &union_edges);
@@ -311,6 +314,24 @@ mod tests {
             router.route(&circuit),
             Err(FpgaError::Unroutable { .. })
         ));
+    }
+
+    #[test]
+    fn zero_passes_reports_the_one_pass_it_ran() {
+        // `max_passes: 0` still routes one pass, and the report says so.
+        let circuit = fanout_circuit();
+        let device = Device::new(ArchSpec::xilinx4000(3, 3, 1)).unwrap();
+        let router = BaselineRouter::new(
+            &device,
+            BaselineConfig {
+                max_passes: 0,
+                ..BaselineConfig::default()
+            },
+        );
+        match router.route(&circuit) {
+            Err(FpgaError::Unroutable { passes, .. }) => assert_eq!(passes, 1),
+            other => panic!("expected Unroutable, got {other:?}"),
+        }
     }
 
     #[test]

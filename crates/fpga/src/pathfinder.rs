@@ -16,15 +16,16 @@
 //!    there — it reroutes as if the node were unoccupied and keeps it —
 //!    while other occupants subtract only their own share and are priced
 //!    toward alternatives (see [`route_net_excluded`]). A microscopic
-//!    per-net tie-break tilt ([`Tilted`]) spreads otherwise-symmetric
-//!    contenders across a channel's parallel tracks. No resources are
-//!    removed, so nets may overlap; because each net's route is a pure
-//!    function of the snapshot, its own previous tree, the single-writer
-//!    claim table, and its own index, the phase splits across workers
-//!    with no ordering between them and bit-identical results for any
-//!    thread count or partition. Workers reuse the epoch-tagged
-//!    [`GraphOverlay`] arenas (one bind per worker per iteration, O(1)
-//!    reset) so the snapshot is never cloned.
+//!    per-net tie-break [`tilt`] spreads otherwise-symmetric contenders
+//!    across a channel's parallel tracks. No resources are removed, so
+//!    nets may overlap; because each net's route is a pure function of
+//!    the snapshot, its own previous tree, the single-writer claim
+//!    table, and its own index, the phase splits across workers with no
+//!    ordering between them and bit-identical results for any thread
+//!    count or partition. Each net routes over its own
+//!    [`LaneView`] of the priced graph — foreign pins hidden, the
+//!    exclusion and the tilt folded into the packed weights — so the
+//!    snapshot is never cloned, copied or mutated by a worker.
 //! 2. **Cost-update phase (single-writer)** — one thread tallies how many
 //!    nets used each segment node (capacity: one net per node). If no
 //!    node is over capacity the routing is disjoint and we are done.
@@ -45,9 +46,9 @@
 //! *remaining congestion* instead of circuit size. After each cost
 //! update the single writer computes the **dirty set**: nets whose
 //! committed route touches an over-capacity node, plus nets whose path
-//! cost went *stale* — the history summed along their own tree grew
-//! past [`RouterConfig::pf_stale_slack_milli`] since they were last
-//! routed. Only dirty nets rip up and reroute next iteration; every
+//! cost went *stale* — the history summed along their own tree grew by
+//! more than `STALE_SLACK_MILLI` (8000 milli-units) since they were
+//! last routed. Only dirty nets rip up and reroute next iteration; every
 //! other net keeps its tree, and because the usage tally is recomputed
 //! over **all** trees (kept and rerouted alike) the skipped nets'
 //! occupancy stays visible to the negotiation — usage is conserved.
@@ -59,12 +60,9 @@
 //! over-capacity nodes fall inside the bounding box of the net's
 //! previous route — so the parallel phase drains contention early; the
 //! ordering only changes which worker routes which net, never any
-//! net's result. An optional ParaLarH-style multiplicative history
-//! decay ([`RouterConfig::pf_history_decay_milli`]) runs in the same
-//! writer sweep, before the iteration's increments. Dirty-set
-//! membership, the reroute order, and the delta node set are all
-//! functions of the priced snapshot alone, so selective mode stays
-//! bit-identical across thread counts.
+//! net's result. Dirty-set membership, the reroute order, and the delta
+//! node set are all functions of the priced snapshot alone, so
+//! selective mode stays bit-identical across thread counts.
 //!
 //! The single-writer claim is structural: `route_negotiated` owns the
 //! priced [`Graph`] by value; during the route phase workers hold only
@@ -78,25 +76,27 @@
 //! [`NegotiatedPricing`]): history accumulates monotonically for the
 //! whole run and must degrade to "infinitely expensive", never panic.
 //!
-//! [`GraphOverlay`]: route_graph::GraphOverlay
+//! [`tilt`]: route_graph::csr::tilt
+//! [`LaneView`]: route_graph::LaneView
 //! [`Graph`]: route_graph::Graph
 //! [`reprice_edges`]: route_graph::Graph::reprice_edges
 //! [`reprice_incident_edges`]: route_graph::Graph::reprice_incident_edges
 //! [`RouterConfig::pf_selective`]: crate::router::RouterConfig::pf_selective
-//! [`RouterConfig::pf_stale_slack_milli`]: crate::router::RouterConfig::pf_stale_slack_milli
-//! [`RouterConfig::pf_history_decay_milli`]: crate::router::RouterConfig::pf_history_decay_milli
 
-use route_graph::rng::SplitMix64;
-use route_graph::{
-    CsrView, EdgeId, Graph, GraphError, GraphOverlay, GraphView, GraphViewMut, LiveLane, NodeId,
-    OverlayArena, Weight,
-};
+use route_graph::{EdgeId, Graph, NodeId, Weight};
 use steiner_route::{NegotiatedPricing, RoutingTree};
 
 use crate::device::{Device, NodeKind};
 use crate::netlist::Circuit;
-use crate::router::{RouteOutcome, Router};
+use crate::router::{NetScratch, RouteOutcome, Router};
 use crate::FpgaError;
+
+/// Staleness slack for selective mode, in milli-units: a clean net is
+/// also marked dirty when the history cost summed over its own tree's
+/// segment nodes has grown by more than this since the net was last
+/// routed — its path price drifted even though it is not itself in
+/// conflict.
+const STALE_SLACK_MILLI: u64 = 8000;
 
 /// One worker's share of a route phase: `(net index, result)` pairs in
 /// the order the worker visited them.
@@ -114,137 +114,6 @@ struct ExclusionCtx<'a> {
     usage: &'a [u32],
     /// Lowest-indexed previous occupant per node (`usize::MAX` = none).
     claims: &'a [usize],
-}
-
-/// One route-phase worker's buffers, reused across nets and iterations:
-/// the overlay arena its per-net mutations go to, and the lane each
-/// net's view is packed into.
-#[derive(Default)]
-struct WorkerScratch {
-    arena: OverlayArena,
-    lane: LiveLane,
-}
-
-/// Upper bound (inclusive, in milli-units) of the per-net tie-break
-/// tilt. Far below any base edge weight (milli-units versus whole
-/// units), so the tilt can only ever decide between otherwise
-/// equally-priced alternatives — it spreads symmetric nets across the
-/// `W` parallel tracks of a channel instead of letting them pick the
-/// same lowest-indexed one and then migrate in lockstep forever.
-const TILT_MASK: u64 = 15;
-
-/// Pure (net, edge) hash in `0..=TILT_MASK` milli: one SplitMix64 draw
-/// from a seed mixing the net index and edge index. No state, no
-/// ordering — the tilt a net sees is identical whatever worker routes
-/// it, preserving thread-count bit-identity.
-fn tilt_milli(net_salt: u64, e: EdgeId) -> u64 {
-    let seed = net_salt
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(e.index() as u64);
-    SplitMix64::seed_from_u64(seed).next_u64() & TILT_MASK
-}
-
-/// A per-net deterministic *tilt* over a priced snapshot: every edge
-/// reads [`tilt_milli`] heavier than the underlying view.
-///
-/// Fully-synchronous negotiation has a failure mode classic sequential
-/// PathFinder never meets: nets contending for a node all see the same
-/// prices, so they all pick the same cheapest alternative, collide
-/// there, and bounce between equally-priced tracks in lockstep while
-/// history inflates everywhere. Giving each net its own microscopic,
-/// deterministic preference among equal-cost choices breaks the
-/// symmetry — contenders spread across parallel tracks and stay put.
-///
-/// Reads tilt; writes delegate untouched (masking flows through,
-/// `add_weight` is overridden so the tilt is never baked into the
-/// underlying weights).
-struct Tilted<'a, G> {
-    inner: &'a mut G,
-    net_salt: u64,
-}
-
-impl<G: GraphViewMut> Tilted<'_, G> {
-    fn tilt(&self, e: EdgeId) -> Weight {
-        Weight::from_milli(tilt_milli(self.net_salt, e))
-    }
-}
-
-impl<G: GraphViewMut> GraphView for Tilted<'_, G> {
-    fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-
-    fn edge_count(&self) -> usize {
-        self.inner.edge_count()
-    }
-
-    fn live_node_count(&self) -> usize {
-        self.inner.live_node_count()
-    }
-
-    fn live_edge_count(&self) -> usize {
-        self.inner.live_edge_count()
-    }
-
-    fn is_node_live(&self, v: NodeId) -> bool {
-        self.inner.is_node_live(v)
-    }
-
-    fn is_edge_usable(&self, e: EdgeId) -> bool {
-        self.inner.is_edge_usable(e)
-    }
-
-    fn endpoints(&self, e: EdgeId) -> Result<(NodeId, NodeId), GraphError> {
-        self.inner.endpoints(e)
-    }
-
-    fn weight(&self, e: EdgeId) -> Result<Weight, GraphError> {
-        Ok(self.inner.weight(e)?.saturating_add(self.tilt(e)))
-    }
-
-    fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, Weight)> + '_ {
-        self.inner
-            .neighbors(v)
-            .map(|(u, e, w)| (u, e, w.saturating_add(self.tilt(e))))
-    }
-
-    fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.inner.node_ids()
-    }
-
-    fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.inner.edge_ids()
-    }
-
-    fn epoch(&self) -> u64 {
-        self.inner.epoch()
-    }
-}
-
-impl<G: GraphViewMut> GraphViewMut for Tilted<'_, G> {
-    fn set_weight(&mut self, e: EdgeId, weight: Weight) -> Result<(), GraphError> {
-        self.inner.set_weight(e, weight)
-    }
-
-    fn add_weight(&mut self, e: EdgeId, delta: Weight) -> Result<(), GraphError> {
-        self.inner.add_weight(e, delta)
-    }
-
-    fn remove_edge(&mut self, e: EdgeId) -> Result<(), GraphError> {
-        self.inner.remove_edge(e)
-    }
-
-    fn restore_edge(&mut self, e: EdgeId) -> Result<(), GraphError> {
-        self.inner.restore_edge(e)
-    }
-
-    fn remove_node(&mut self, v: NodeId) -> Result<(), GraphError> {
-        self.inner.remove_node(v)
-    }
-
-    fn restore_node(&mut self, v: NodeId) -> Result<(), GraphError> {
-        self.inner.restore_node(v)
-    }
 }
 
 /// Routes `circuit` by negotiated congestion ([`RouteMode::Pathfinder`]).
@@ -291,7 +160,6 @@ pub(crate) fn route_negotiated(
     let budget = config.pf_max_iterations.max(1);
     let net_count = circuit.net_count();
     let selective = config.pf_selective;
-    let decay_milli = config.pf_history_decay_milli.min(1000);
     // Nets the next route phase rips up and reroutes, most-congested
     // first in selective mode. Iteration 1 (and every full-reroute
     // iteration) routes everything in net-index order.
@@ -310,10 +178,9 @@ pub(crate) fn route_negotiated(
     let mut final_trees: Vec<Option<RoutingTree>> = Vec::new();
     let mut prev_usage: Vec<u32> = Vec::new();
     let mut prev_claims: Vec<usize> = Vec::new();
-    // One delta arena (and lane) per route-phase worker, grown on demand
-    // and rebound every iteration — the per-iteration snapshot cost is
-    // an O(1) generation bump instead of a full graph clone per worker.
-    let mut scratch: Vec<WorkerScratch> = Vec::new();
+    // One set of per-net buffers per route-phase worker, grown on demand
+    // and reused every iteration.
+    let mut scratch: Vec<NetScratch> = Vec::new();
     for iteration in 1..=budget {
         // lint: allow(determinism-wall-clock): per-iteration timing lands in IterationStats reporting; cost updates never read it
         let started = std::time::Instant::now();
@@ -460,19 +327,6 @@ pub(crate) fn route_negotiated(
             };
             return Ok(outcome);
         }
-        // Optional multiplicative history decay (ParaLarH's h = d·h +
-        // overuse), applied to *every* node before this iteration's
-        // increments. `0` skips the sweep entirely, leaving the run
-        // bit-identical to the undecayed router.
-        if decay_milli > 0 {
-            let retained = u128::from(1000 - decay_milli);
-            for h in &mut history {
-                if *h != Weight::ZERO {
-                    let milli = u128::from(h.as_milli()) * retained / 1000;
-                    *h = Weight::from_milli(u64::try_from(milli).unwrap_or(u64::MAX));
-                }
-            }
-        }
         // History accumulates only on over-capacity nodes, saturating.
         for &v in &overcap {
             let overuse = usage[v.index()].saturating_sub(1);
@@ -529,8 +383,7 @@ pub(crate) fn route_negotiated(
                 if routed_mask[ni] {
                     stale_base[ni] = tree_history;
                 }
-                let stale = tree_history
-                    > stale_base[ni].saturating_add(config.pf_stale_slack_milli);
+                let stale = tree_history > stale_base[ni].saturating_add(STALE_SLACK_MILLI);
                 if touches_overcap || stale {
                     // Candidate region = the previous route's bounding
                     // box; its congestion priority is how many of the
@@ -647,32 +500,20 @@ fn trees_differ(a: Option<&RoutingTree>, b: Option<&RoutingTree>) -> bool {
 /// [`route_net_excluded`]). The phase runs on `min(threads, order.len())`
 /// workers, so it never spawns a worker with nothing to route; with two
 /// or more, worker `k` routes the nets at positions `k, k+workers, …` of
-/// `order` over its own [`GraphOverlay`]. The partition is invisible in
+/// `order` with its own [`NetScratch`]. The partition is invisible in
 /// the results because no net's route depends on any other net's — only
 /// on the shared snapshot and that net's own previous tree.
 ///
 /// Returns `(net index, Some(tree))` per routed net, `None` for a
-/// disconnected one; nets outside `order` are untouched. The snapshot
-/// is left exactly as it was on entry (masking and exclusion happen on
-/// per-worker overlays, reset after every net).
-///
-/// The priced graph is packed once per phase into a flat-CSR snapshot
-/// ([`CsrView`]), and both the sequential path and the workers bind
-/// their copy-on-write overlays over it: each net's lane (see
-/// [`Router::route_net`]) is packed through the overlay, and reading
-/// the base from contiguous arrays instead of the mutable graph's
-/// per-node edge lists makes that per-net pack cheaper than the
-/// snapshot costs once per phase. The view surface is identical (same
-/// iteration order, same liveness, same weights), so the phase stays
-/// bit-identical to routing against the [`Graph`] directly, for any
-/// thread count.
+/// disconnected one; nets outside `order` are untouched. Every net packs
+/// its view straight from `priced`, which no worker mutates.
 #[allow(clippy::too_many_arguments)] // internal plumbing for one call site
 fn route_all(
     router: &Router<'_>,
     circuit: &Circuit,
     critical: &[bool],
     threads: usize,
-    scratch: &mut Vec<WorkerScratch>,
+    scratch: &mut Vec<NetScratch>,
     priced: &Graph,
     prev: &[Option<RoutingTree>],
     ctx: ExclusionCtx<'_>,
@@ -680,37 +521,31 @@ fn route_all(
     order: &[usize],
 ) -> Result<Vec<(usize, Option<RoutingTree>)>, FpgaError> {
     let prev_of = |ni: usize| prev.get(ni).and_then(Option::as_ref);
-    let csr = CsrView::build(priced);
-    let workers = threads.min(order.len());
-    if workers <= 1 {
+    let workers = threads.min(order.len()).max(1);
+    while scratch.len() < workers {
+        let mut net_scratch = NetScratch::new(router.device());
+        net_scratch.discount = vec![Weight::ZERO; priced.node_count()];
+        scratch.push(net_scratch);
+    }
+    if workers == 1 {
         let phase_started = if route_trace::enabled() {
             // lint: allow(determinism-wall-clock): gated on route_trace::enabled(); feeds the span timeline only, never routing state
             Some(std::time::Instant::now())
         } else {
             None
         };
-        // The CSR snapshot is immutable, so even the single-worker phase
-        // routes through an overlay, reusing its arena across iterations
-        // like the workers reuse theirs.
-        if scratch.is_empty() {
-            scratch.push(WorkerScratch::default());
-        }
-        let WorkerScratch { arena, lane } = &mut scratch[0];
-        let mut overlay = GraphOverlay::bind(&csr, arena);
         let mut routed: Vec<(usize, Option<RoutingTree>)> = Vec::with_capacity(order.len());
         for &ni in order {
             let tree = route_net_excluded(
                 router,
-                &mut overlay,
+                priced,
                 circuit,
                 ni,
                 critical,
                 prev_of(ni),
                 ctx,
-                lane,
+                &mut scratch[0],
             )?;
-            // O(1) back to the priced snapshot for the next net.
-            overlay.reset();
             routed.push((ni, tree));
         }
         if let Some(started) = phase_started {
@@ -724,15 +559,11 @@ fn route_all(
         }
         return Ok(routed);
     }
-    while scratch.len() < workers {
-        scratch.push(WorkerScratch::default());
-    }
-    let snapshot: &CsrView = &csr;
     let parent_span = route_trace::current_span();
     let mut worker_results: Vec<WorkerRoutes> = Vec::with_capacity(workers);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
-        for (k, WorkerScratch { arena, lane }) in scratch.iter_mut().enumerate().take(workers) {
+        for (k, net_scratch) in scratch.iter_mut().enumerate().take(workers) {
             handles.push(scope.spawn(move || {
                 route_trace::adopt_parent(parent_span);
                 let worker_started = if route_trace::enabled() {
@@ -741,23 +572,18 @@ fn route_all(
                 } else {
                     None
                 };
-                let mut overlay = GraphOverlay::bind(snapshot, arena);
-                if route_trace::enabled() {
-                    route_trace::count(route_trace::Counter::OverlayBinds, 1);
-                }
                 let mut routed = Vec::new();
                 for ni in (k..order.len()).step_by(workers).map(|j| order[j]) {
                     let tree = route_net_excluded(
                         router,
-                        &mut overlay,
+                        priced,
                         circuit,
                         ni,
                         critical,
                         prev_of(ni),
                         ctx,
-                        lane,
+                        net_scratch,
                     );
-                    overlay.reset();
                     routed.push((ni, tree));
                 }
                 if let Some(started) = worker_started {
@@ -823,57 +649,67 @@ fn route_all(
 /// Summed endpoint pricing makes the exclusion exact: each segment node
 /// added its pressure to every incident edge, so subtracting it along
 /// the previous route prices the net as if that occupancy were gone.
-/// The adjustment is written into `graph` and left there; callers route
-/// over an overlay and reset it before the next net. It depends only on
-/// the snapshot, the net's own previous tree, and the single-writer
-/// claim table, never on the worker partition, preserving thread-count
-/// bit-identity.
+/// The subtraction is a per-node discount of the net's view (see
+/// [`LaneRules`]), floored at zero, and the view adds the net's
+/// tie-break [`tilt`] on top.
+///
+/// The tilt answers a failure mode classic sequential PathFinder never
+/// meets: in a fully synchronous route phase, nets contending for a node
+/// all see the same prices, so they all pick the same cheapest
+/// alternative, collide there, and bounce between equally-priced tracks
+/// in lockstep while history inflates everywhere. A microscopic,
+/// deterministic per-net preference among equal-cost choices breaks the
+/// symmetry — contenders spread across parallel tracks and stay put.
+///
+/// The route depends only on the snapshot, the net's own previous tree,
+/// the single-writer claim table, and the net's index, never on the
+/// worker partition, preserving thread-count bit-identity.
+///
+/// [`LaneRules`]: route_graph::LaneRules
+/// [`tilt`]: route_graph::csr::tilt
 #[allow(clippy::too_many_arguments)] // internal plumbing for two call sites
-fn route_net_excluded<G: GraphViewMut>(
+fn route_net_excluded(
     router: &Router<'_>,
-    graph: &mut G,
+    priced: &Graph,
     circuit: &Circuit,
     ni: usize,
     critical: &[bool],
     prev: Option<&RoutingTree>,
     ctx: ExclusionCtx<'_>,
-    lane: &mut LiveLane,
+    scratch: &mut NetScratch,
 ) -> Result<Option<RoutingTree>, FpgaError> {
     let device = router.device();
-    if let Some(tree) = prev {
-        for v in tree.nodes() {
-            // Only segment nodes carry usage pressure (the tally in
-            // `route_negotiated` skips everything else).
-            if device.segment_position(v).is_none() {
-                continue;
-            }
-            let i = v.index();
-            let amount = if ctx.claims.get(i) == Some(&ni) {
-                // Claimant: all occupants' present is subtracted, so the
-                // node reads as unoccupied and the claimant keeps it —
-                // but history stays visible even to the claimant, so a
-                // node whose contention never resolves eventually prices
-                // its own claimant into rerouting around it, freeing it
-                // for whoever kept colliding there.
-                ctx.present.scale(u64::from(ctx.usage.get(i).copied().unwrap_or(0)))
-            } else {
-                // Loser: only its own share — the claimant's present and
-                // the history stay visible and push it elsewhere.
-                ctx.present
-            };
-            if amount == Weight::ZERO {
-                continue;
-            }
-            let incident: Vec<(EdgeId, Weight)> =
-                graph.neighbors(v).map(|(_, e, w)| (e, w)).collect();
-            for (e, w) in incident {
-                graph.set_weight(e, w.saturating_sub(amount))?;
-            }
+    // Only segment nodes carry usage pressure (the tally in
+    // `route_negotiated` skips everything else).
+    let excluded = || {
+        prev.into_iter()
+            .flat_map(RoutingTree::nodes)
+            .filter(|&v| device.segment_position(v).is_some())
+    };
+    for v in excluded() {
+        let i = v.index();
+        let amount = if ctx.claims.get(i) == Some(&ni) {
+            // Claimant: all occupants' present is subtracted, so the
+            // node reads as unoccupied and the claimant keeps it — but
+            // history stays visible even to the claimant, so a node
+            // whose contention never resolves eventually prices its own
+            // claimant into rerouting around it, freeing it for whoever
+            // kept colliding there.
+            ctx.present.scale(u64::from(ctx.usage.get(i).copied().unwrap_or(0)))
+        } else {
+            // Loser: only its own share — the claimant's present and the
+            // history stay visible and push it elsewhere.
+            ctx.present
+        };
+        if let Some(d) = scratch.discount.get_mut(i) {
+            *d = amount;
         }
     }
-    let mut tilted = Tilted {
-        inner: graph,
-        net_salt: ni as u64,
-    };
-    router.route_net(&mut tilted, circuit, ni, critical, lane)
+    let routed = router.route_net(priced, circuit, ni, critical, scratch, Some(ni as u64));
+    for v in excluded() {
+        if let Some(d) = scratch.discount.get_mut(v.index()) {
+            *d = Weight::ZERO;
+        }
+    }
+    routed
 }

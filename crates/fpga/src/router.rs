@@ -11,7 +11,7 @@
 //! paper's feasibility threshold is 20) the circuit is declared unroutable
 //! at this channel width.
 
-use route_graph::{GraphError, GraphView, GraphViewMut, LaneView, LiveLane, NodeId, Weight};
+use route_graph::{Graph, GraphError, GraphView, LaneRules, LaneView, LiveLane, NodeId, Weight};
 use steiner_route::{
     idom_with_config, CandidatePool, Djka, Dom, Iterated, IteratedConfig, Kmb, Net,
     Pfa, RoutingTree, SteinerError, SteinerHeuristic, Zel,
@@ -161,29 +161,16 @@ pub struct RouterConfig {
     pub pf_history_milli: u64,
     /// Selective dirty-net negotiation ([`RouteMode::Pathfinder`] only):
     /// after each cost update, only nets whose committed route touches an
-    /// over-capacity node (or whose path cost went stale past
-    /// [`pf_stale_slack_milli`](RouterConfig::pf_stale_slack_milli)) rip
-    /// up and reroute; every other net keeps its tree and its usage stays
-    /// in the tally. The cost update also switches from the full
+    /// over-capacity node (or whose path cost went stale, see
+    /// [`pathfinder`](crate::pathfinder)) rip up and reroute; every
+    /// other net keeps its tree and its usage stays in the tally. The
+    /// cost update also switches from the full
     /// `reprice_edges` sweep to a delta sweep over nodes whose pressure
     /// changed. Iteration work then scales with remaining congestion
     /// instead of circuit size. Off by default; results may legitimately
     /// differ from full-reroute mode (different, equally valid routings)
     /// but stay bit-identical across thread counts.
     pub pf_selective: bool,
-    /// Staleness slack for selective mode, in milli-units: a clean net is
-    /// also marked dirty when the history cost summed over its own tree's
-    /// segment nodes has grown by more than this slack since the net was
-    /// last routed — its path price drifted even though it is not itself
-    /// in conflict. `u64::MAX` disables staleness reselection entirely.
-    pub pf_stale_slack_milli: u64,
-    /// Optional ParaLarH-style multiplicative history decay, in
-    /// milli-units removed per iteration ([`RouteMode::Pathfinder`]
-    /// only): before accumulating this iteration's increments, every
-    /// node's history is scaled by `(1000 - decay)/1000`. `0` (the
-    /// default) skips the decay sweep entirely and is bit-identical to
-    /// the undecayed router. Values are clamped to `1000`.
-    pub pf_history_decay_milli: u64,
     /// Feasibility threshold: passes before declaring the width unroutable
     /// (the paper arbitrarily sets 20).
     pub max_passes: usize,
@@ -223,8 +210,6 @@ impl Default for RouterConfig {
             pf_present_milli: 2000,
             pf_history_milli: 1000,
             pf_selective: false,
-            pf_stale_slack_milli: 8000,
-            pf_history_decay_milli: 0,
             max_passes: 20,
             congestion_alpha_milli: 1500,
             candidate_margin: 1,
@@ -376,13 +361,14 @@ impl<'d> Router<'d> {
         }
         let mut last_failure = 0usize;
         let mut passes_telemetry: Vec<crate::telemetry::PassTelemetry> = Vec::new();
-        let mut lane = LiveLane::new();
-        for pass in 1..=self.config.max_passes.max(1) {
+        let mut scratch = NetScratch::new(self.device);
+        let passes = self.config.max_passes.max(1);
+        for pass in 1..=passes {
             // lint: allow(determinism-wall-clock): pass wall-clock feeds PassTelemetry::elapsed only; routing never reads it
             let started = std::time::Instant::now();
             let (result, mut timing) = {
                 let _pass_span = route_trace::span(route_trace::SpanKind::Pass, "pass", pass as u64);
-                self.route_pass(circuit, &order, critical, &mut lane)?
+                self.route_pass(circuit, &order, critical, &mut scratch)?
             };
             timing.pass = pass;
             timing.elapsed = started.elapsed();
@@ -406,7 +392,7 @@ impl<'d> Router<'d> {
         }
         Err(FpgaError::Unroutable {
             channel_width: self.device.arch().channel_width,
-            passes: self.config.max_passes,
+            passes,
             failed_net: last_failure,
             overcapacity: Vec::new(),
         })
@@ -443,7 +429,7 @@ impl<'d> Router<'d> {
         circuit: &Circuit,
         order: &[usize],
         critical: &[bool],
-        lane: &mut LiveLane,
+        scratch: &mut NetScratch,
     ) -> Result<(PassResult, crate::telemetry::PassTelemetry), FpgaError> {
         let mut g = self.device.working_graph();
         if route_trace::enabled() {
@@ -454,7 +440,7 @@ impl<'d> Router<'d> {
         let mut trees: Vec<Option<RoutingTree>> = vec![None; circuit.net_count()];
         let mut timing = crate::telemetry::PassTelemetry::default();
         for &ni in order {
-            match self.route_net(&mut g, circuit, ni, critical, lane)? {
+            match self.route_net(&g, circuit, ni, critical, scratch, None)? {
                 Some(tree) => {
                     self.commit(&mut g, &mut usage, w, &tree)?;
                     // Report against the pristine device graph so costs
@@ -476,24 +462,24 @@ impl<'d> Router<'d> {
         Ok((PassResult::Complete(self.finalize(circuit, trees)?), timing))
     }
 
-    /// Routes a single net against the current pass graph: masks foreign
-    /// pins, runs the configured construction, and restores the masked
-    /// pins. `Ok(None)` reports an unroutable (disconnected) net; the
-    /// graph is left exactly as it was on entry either way.
+    /// Routes a single net against `g`: runs the configured construction
+    /// over the net's [`LaneView`] of `g`, in which the device's foreign
+    /// pins are hidden, `scratch`'s discounts apply and, with
+    /// `Some(salt)`, every edge carries its tie-break tilt. `Ok(None)`
+    /// reports an unroutable (disconnected) net; `g` is never mutated.
     ///
-    /// The masked view is packed once into `lane` (its buffers reused
-    /// from net to net), and the construction runs over a [`LaneView`]:
-    /// every Dijkstra run of the net relaxes contiguous
-    /// `(neighbor, edge, weight)` triples instead of re-resolving `g`'s
-    /// liveness, overlay deltas and weight wrappers per edge. The two
-    /// views are indistinguishable, so the tree is too.
-    pub(crate) fn route_net<G: GraphViewMut>(
+    /// The view is packed once, straight from `g`, into the scratch lane
+    /// (its buffers reused from net to net): every Dijkstra run of the
+    /// net relaxes contiguous `(neighbor, edge, weight)` triples instead
+    /// of re-resolving `g`'s liveness per edge.
+    pub(crate) fn route_net<G: GraphView>(
         &self,
-        g: &mut G,
+        g: &G,
         circuit: &Circuit,
         ni: usize,
         critical: &[bool],
-        lane: &mut LiveLane,
+        scratch: &mut NetScratch,
+        tilt: Option<u64>,
     ) -> Result<Option<RoutingTree>, FpgaError> {
         let _net_span = route_trace::span(route_trace::SpanKind::Net, "net", ni as u64);
         let net_started = if route_trace::enabled() {
@@ -502,22 +488,21 @@ impl<'d> Router<'d> {
         } else {
             None
         };
-        let terminals = circuit.net_terminals(self.device, ni)?;
-        let masked = mask_foreign_pins(g, self.device, &terminals)?;
-        let net = Net::from_terminals(terminals)?;
+        let net = Net::from_terminals(circuit.net_terminals(self.device, ni)?)?;
         let algorithm = match (critical[ni], self.config.critical_algorithm) {
             (true, Some(algo)) => algo,
             _ => self.config.algorithm,
         };
         let result = {
-            let heuristic = algorithm.heuristic(self.candidate_pool(circuit, ni));
+            let pool = self.candidate_pool(circuit, ni);
             // The pack runs inside the phase span: it is the
             // construction's adjacency work, done once per net instead
             // of once per relaxation.
             let _phase_span =
                 route_trace::span(route_trace::SpanKind::Phase, algorithm.label(), 0);
-            lane.pack(&*g);
-            heuristic.construct(&LaneView::new(&*g, lane), &net)
+            scratch.with_view(self.device, g, net.terminals(), tilt, |view| {
+                algorithm.heuristic(pool).construct(view, &net)
+            })
         };
         if route_trace::enabled() {
             route_trace::count(route_trace::Counter::NetsRouted, 1);
@@ -528,7 +513,6 @@ impl<'d> Router<'d> {
                 u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
             );
         }
-        unmask_pins(g, &masked)?;
         match result {
             Ok(tree) => Ok(Some(tree)),
             Err(SteinerError::Graph(GraphError::Disconnected { .. })) => Ok(None),
@@ -571,9 +555,9 @@ impl<'d> Router<'d> {
     /// arithmetic: pathological `congestion_alpha_milli` values or
     /// long-running usage can otherwise overflow `alpha · u` and panic
     /// mid-pass.
-    fn commit<G: GraphViewMut>(
+    fn commit(
         &self,
-        g: &mut G,
+        g: &mut Graph,
         usage: &mut [u32],
         w: u64,
         tree: &RoutingTree,
@@ -706,7 +690,7 @@ pub(crate) fn promote_to_front(order: &mut [usize], index_of: &mut [usize], ni: 
 ///
 /// * there are too few nets to spread across workers (fewer than 8), or
 /// * the routing graph is so small (under 2000 live nodes) that spawning
-///   workers and binding their overlays outweighs the routing they
+///   workers and sizing their per-net buffers outweighs the routing they
 ///   share out, or
 /// * the circuit is a **few-large-nets** shape — fewer than 32 nets
 ///   averaging 8+ pins each. A handful of high-fan-in nets dominates each
@@ -735,31 +719,63 @@ pub fn auto_thread_count(
     available.max(1)
 }
 
-/// Temporarily removes every logic-block pin that does not belong to the
-/// net being routed, so no route can pass *through* a foreign pin (a pin
-/// cannot electrically join two channel tracks). Returns the masked pins
-/// for restoration after the net is handled.
-pub(crate) fn mask_foreign_pins<G: GraphViewMut>(
-    g: &mut G,
-    device: &Device,
-    keep: &[NodeId],
-) -> Result<Vec<NodeId>, FpgaError> {
-    let mut masked = Vec::new();
-    for pin in device.pin_nodes() {
-        if g.is_node_live(pin) && !keep.contains(&pin) {
-            g.remove_node(pin)?;
-            masked.push(pin);
-        }
-    }
-    Ok(masked)
+/// One routing thread's per-net buffers, reused from net to net: the
+/// lane each net's view is packed into, the foreign-pin bitmap its
+/// masking reads, and PathFinder's per-node self-exclusion discounts.
+#[derive(Debug)]
+pub(crate) struct NetScratch {
+    lane: LiveLane,
+    /// `true` at every logic-block pin of the device. While a net routes,
+    /// its own pins read `false`: no route can pass *through* a foreign
+    /// pin (a pin cannot electrically join two channel tracks).
+    foreign: Vec<bool>,
+    /// Per-node discount subtracted from every incident edge weight
+    /// (PathFinder's claim rule); empty for rip-up.
+    pub(crate) discount: Vec<Weight>,
 }
 
-/// Restores pins hidden by [`mask_foreign_pins`].
-pub(crate) fn unmask_pins<G: GraphViewMut>(g: &mut G, masked: &[NodeId]) -> Result<(), FpgaError> {
-    for &pin in masked {
-        g.restore_node(pin)?;
+impl NetScratch {
+    /// Buffers sized for `device`, with no discounts.
+    pub(crate) fn new(device: &Device) -> NetScratch {
+        let foreign = (0..device.graph().node_count())
+            .map(|i| device.is_pin(NodeId::from_index(i)))
+            .collect();
+        NetScratch {
+            lane: LiveLane::new(),
+            foreign,
+            discount: Vec::new(),
+        }
     }
-    Ok(())
+
+    /// Packs the view of `g` for the net with `terminals` (its foreign
+    /// pins hidden, the scratch discounts and the `tilt` salt applied)
+    /// and runs `f` over it.
+    pub(crate) fn with_view<G: GraphView, R>(
+        &mut self,
+        device: &Device,
+        g: &G,
+        terminals: &[NodeId],
+        tilt: Option<u64>,
+        f: impl FnOnce(&LaneView<'_, G>) -> R,
+    ) -> R {
+        self.mark_foreign(device, terminals, false);
+        let rules = LaneRules {
+            hidden: &self.foreign,
+            discount: &self.discount,
+            tilt,
+        };
+        let result = f(&LaneView::pack(g, &mut self.lane, rules));
+        self.mark_foreign(device, terminals, true);
+        result
+    }
+
+    fn mark_foreign(&mut self, device: &Device, pins: &[NodeId], foreign: bool) {
+        for &v in pins {
+            if let Some(flag) = self.foreign.get_mut(v.index()) {
+                *flag = foreign && device.is_pin(v);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -842,9 +858,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn too_narrow_width_is_unroutable() {
-        // Nine nets competing through a 1-track 2×2 device cannot all fit.
+    /// Four crossing nets that cannot all fit through a 1-track 2×2
+    /// device.
+    fn dense_circuit() -> Circuit {
         let mut nets = Vec::new();
         for slot in 0..2 {
             for (a, b) in [
@@ -859,7 +875,11 @@ mod tests {
                 });
             }
         }
-        let circuit = Circuit::new("dense", 2, 2, nets).unwrap();
+        Circuit::new("dense", 2, 2, nets).unwrap()
+    }
+
+    #[test]
+    fn too_narrow_width_is_unroutable() {
         let device = Device::new(ArchSpec::xilinx4000(2, 2, 1)).unwrap();
         let router = Router::new(
             &device,
@@ -869,9 +889,26 @@ mod tests {
             },
         );
         assert!(matches!(
-            router.route(&circuit),
+            router.route(&dense_circuit()),
             Err(FpgaError::Unroutable { .. })
         ));
+    }
+
+    #[test]
+    fn zero_passes_reports_the_one_pass_it_ran() {
+        // `max_passes: 0` still routes one pass, and the report says so.
+        let device = Device::new(ArchSpec::xilinx4000(2, 2, 1)).unwrap();
+        let router = Router::new(
+            &device,
+            RouterConfig {
+                max_passes: 0,
+                ..RouterConfig::default()
+            },
+        );
+        match router.route(&dense_circuit()) {
+            Err(FpgaError::Unroutable { passes, .. }) => assert_eq!(passes, 1),
+            other => panic!("expected Unroutable, got {other:?}"),
+        }
     }
 
     #[test]

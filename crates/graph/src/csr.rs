@@ -1,258 +1,142 @@
-//! Flat-CSR adjacency for cache-conscious kernel iteration.
+//! The per-net routing view: one graph, packed once per net into
+//! flat-CSR adjacency under the net's rules.
 //!
 //! [`Graph`](crate::Graph) stores one heap-allocated adjacency `Vec` per
-//! node, and an overlay or a priced wrapper resolves liveness and weights
-//! per entry, so a Dijkstra relaxation sweep hops between scattered
-//! allocations and re-checks flags on every visit. A [`LiveLane`] packs a
-//! view's *usable* adjacency once into one contiguous
-//! `(neighbor, edge, weight)` array; the relaxation hot loop then walks
-//! sequential triples with no per-entry checks.
+//! node and resolves liveness per entry, so a Dijkstra relaxation sweep
+//! hops between scattered allocations and re-checks flags on every
+//! visit. A [`LaneView`] packs its base graph's usable adjacency once,
+//! in one pass, into a [`LiveLane`]: one contiguous
+//! `(neighbor, edge, weight)` array the relaxation hot loop walks with
+//! no per-entry checks.
 //!
-//! Two things are built on it. [`LaneView`] serves `neighbors` from a
-//! lane packed over any view and hands every other query to that view:
-//! the router packs each net's masked (and, in PathFinder, excluded and
-//! tilted) view into a lane reused across nets, so every Dijkstra run of
-//! the net's construction relaxes over it. [`CsrView`] is an immutable
-//! snapshot of an [`OverlayBase`] graph: the *raw* adjacency (tombstones
-//! included, insertion order — the [`OverlayBase`] surface) plus a lane.
-//! It implements both [`GraphView`] (route directly against it) and
-//! [`OverlayBase`] (bind a [`GraphOverlay`](crate::GraphOverlay) over it
-//! when a worker needs the usual per-net mutations — pin masking,
-//! congestion exclusion). Because the lane keeps the view's iteration
-//! order and the raw entries and flags are copied verbatim, every routed
-//! tree is bit-identical to iterating the source view directly.
+//! The router routes every net against such a view of one base graph
+//! (rip-up's working graph, or PathFinder's priced graph) under the
+//! net's [`LaneRules`]:
+//!
+//! * **masking** — a node is live iff it is live in the base and not
+//!   hidden; an edge is usable iff it is usable in the base and neither
+//!   endpoint is hidden;
+//! * **weights** — an edge weighs its base weight minus the discounts of
+//!   both endpoints, floored at zero, plus the [`tilt`] when one is set;
+//! * **order** — [`neighbors`](GraphView::neighbors) yields the base's
+//!   order with the hidden entries dropped, so routing over the view is
+//!   bit-identical to routing over a base clone mutated the same way;
+//! * **epoch** — the base's epoch plus the number of packs the lane has
+//!   taken, so it advances with every repack and every base mutation.
+//!
+//! The base is never mutated: masking a net's foreign pins or discounting
+//! its previous route costs nothing to undo.
 
-use crate::overlay::OverlayBase;
+use crate::rng::SplitMix64;
 use crate::view::GraphView;
 use crate::{EdgeId, GraphError, NodeId, Weight};
 
-/// A contiguous, immutable CSR snapshot of an [`OverlayBase`] graph.
-///
-/// # Example
-///
-/// ```
-/// use route_graph::{csr::CsrView, Graph, GraphView, ShortestPaths, Weight};
-///
-/// # fn main() -> Result<(), route_graph::GraphError> {
-/// let mut g = Graph::with_nodes(3);
-/// let n: Vec<_> = g.node_ids().collect();
-/// g.add_edge(n[0], n[1], Weight::from_units(2))?;
-/// g.add_edge(n[1], n[2], Weight::from_units(3))?;
-/// let csr = CsrView::build(&g);
-/// let sp = ShortestPaths::run(&csr, n[0])?;
-/// assert_eq!(sp.dist(n[2]), Some(Weight::from_units(5)));
-/// assert_eq!(csr.epoch(), g.epoch());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct CsrView {
-    /// `adj[offsets[v]..offsets[v + 1]]` are `v`'s raw adjacency entries.
-    offsets: Vec<usize>,
-    /// Raw `(neighbor, edge)` pairs in base insertion order, tombstones
-    /// included — the [`OverlayBase`] surface, which overlays re-filter
-    /// against their own liveness deltas.
-    adj: Vec<(NodeId, EdgeId)>,
-    /// `v`'s *usable* `(neighbor, edge, weight)` triples, prefiltered at
-    /// build time (the snapshot is immutable, so liveness cannot change
-    /// underneath).
-    live: LiveLane,
-    node_alive: Vec<bool>,
-    /// Per-edge own removal flag (endpoint liveness excluded).
-    edge_alive: Vec<bool>,
-    endpoints: Vec<(NodeId, NodeId)>,
-    weights: Vec<Weight>,
-    live_nodes: usize,
-    live_edge_flags: usize,
-    epoch: u64,
+/// Upper bound (inclusive, in milli-units) of [`tilt`]: far below any
+/// whole-unit wire weight, so a tilt can only decide between otherwise
+/// equally-priced alternatives.
+const TILT_MASK: u64 = 15;
+
+/// The tie-break tilt of edge `e` under `salt`: one SplitMix64 draw from
+/// a seed mixing the salt and the edge index, in `0..=TILT_MASK`
+/// milli-units. A pure function, so the tilt a net sees never depends on
+/// which thread routes it.
+#[must_use]
+pub fn tilt(salt: u64, e: EdgeId) -> Weight {
+    let seed = salt
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(e.index() as u64);
+    Weight::from_milli(SplitMix64::seed_from_u64(seed).next_u64() & TILT_MASK)
 }
 
-impl CsrView {
-    /// Snapshots `base` into flat arrays. `O(nodes + edges)`; the
-    /// pathfinder amortizes one build per iteration across every net it
-    /// routes against the snapshot.
-    pub fn build<B: OverlayBase>(base: &B) -> CsrView {
-        let n = base.node_count();
-        let m = base.edge_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut adj = Vec::new();
-        let mut node_alive = Vec::with_capacity(n);
-        offsets.push(0);
-        for i in 0..n {
-            let v = NodeId::from_index(i);
-            adj.extend_from_slice(base.base_adj(v));
-            offsets.push(adj.len());
-            node_alive.push(base.is_node_live(v));
-        }
-        let mut edge_alive = Vec::with_capacity(m);
-        let mut endpoints = Vec::with_capacity(m);
-        let mut weights = Vec::with_capacity(m);
-        for i in 0..m {
-            let e = EdgeId::from_index(i);
-            edge_alive.push(base.base_edge_alive(e));
-            endpoints.push(base.endpoints(e).expect("edge id below edge_count"));
-            weights.push(base.weight(e).expect("edge id below edge_count"));
-        }
-        let mut live = LiveLane::new();
-        live.pack(base);
-        CsrView {
-            offsets,
-            adj,
-            live,
-            node_alive,
-            edge_alive,
-            endpoints,
-            weights,
-            live_nodes: base.live_node_count(),
-            live_edge_flags: base.live_edge_count(),
-            epoch: base.epoch(),
-        }
-    }
-
-    /// The raw adjacency index range of `v` (empty for unknown nodes).
-    fn adj_range(&self, v: NodeId) -> std::ops::Range<usize> {
-        if v.index() < self.node_alive.len() {
-            self.offsets[v.index()]..self.offsets[v.index() + 1]
-        } else {
-            0..0
-        }
-    }
+/// What a [`LaneView`] hides of its base graph and how it reprices it.
+/// The default hides nothing and keeps every base weight.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LaneRules<'r> {
+    /// `hidden[v]` hides node `v`; nodes past the end stay visible.
+    pub hidden: &'r [bool],
+    /// `discount[v]` is subtracted from the weight of every edge at `v`;
+    /// nodes past the end carry none.
+    pub discount: &'r [Weight],
+    /// `Some(salt)` adds [`tilt`]`(salt, e)` to every edge `e`.
+    pub tilt: Option<u64>,
 }
 
-impl GraphView for CsrView {
-    fn node_count(&self) -> usize {
-        self.node_alive.len()
+impl LaneRules<'_> {
+    fn hides(&self, v: NodeId) -> bool {
+        self.hidden.get(v.index()).copied().unwrap_or(false)
     }
 
-    fn edge_count(&self) -> usize {
-        self.edge_alive.len()
-    }
-
-    fn live_node_count(&self) -> usize {
-        self.live_nodes
-    }
-
-    fn live_edge_count(&self) -> usize {
-        self.live_edge_flags
-    }
-
-    fn is_node_live(&self, v: NodeId) -> bool {
-        self.node_alive.get(v.index()).copied().unwrap_or(false)
-    }
-
-    fn is_edge_usable(&self, e: EdgeId) -> bool {
-        self.edge_alive.get(e.index()).is_some_and(|&alive| {
-            let (a, b) = self.endpoints[e.index()];
-            alive && self.node_alive[a.index()] && self.node_alive[b.index()]
-        })
-    }
-
-    fn endpoints(&self, e: EdgeId) -> Result<(NodeId, NodeId), GraphError> {
-        self.endpoints
-            .get(e.index())
+    fn discount(&self, v: NodeId) -> Weight {
+        self.discount
+            .get(v.index())
             .copied()
-            .ok_or(GraphError::EdgeOutOfBounds(e))
+            .unwrap_or(Weight::ZERO)
     }
 
-    fn weight(&self, e: EdgeId) -> Result<Weight, GraphError> {
-        self.weights
-            .get(e.index())
-            .copied()
-            .ok_or(GraphError::EdgeOutOfBounds(e))
-    }
-
-    fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, Weight)> + '_ {
-        self.live.neighbors(v)
-    }
-
-    fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.node_alive
-            .iter()
-            .enumerate()
-            .filter(|(_, &alive)| alive)
-            .map(|(i, _)| NodeId::from_index(i))
-    }
-
-    fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        (0..self.edge_alive.len())
-            .map(EdgeId::from_index)
-            .filter(|&e| self.is_edge_usable(e))
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
+    /// Edge `e = (a, b)` of base weight `w` under these rules.
+    fn price(&self, w: Weight, a: NodeId, b: NodeId, e: EdgeId) -> Weight {
+        let w = w
+            .saturating_sub(self.discount(a))
+            .saturating_sub(self.discount(b));
+        match self.tilt {
+            Some(salt) => w.saturating_add(tilt(salt, e)),
+            None => w,
+        }
     }
 }
 
-impl OverlayBase for CsrView {
-    fn base_adj(&self, v: NodeId) -> &[(NodeId, EdgeId)] {
-        &self.adj[self.adj_range(v)]
-    }
-
-    fn base_edge_alive(&self, e: EdgeId) -> bool {
-        self.edge_alive.get(e.index()).copied().unwrap_or(false)
-    }
-}
-
-/// A view's usable adjacency packed into one contiguous array: entries
+/// The packed adjacency behind a [`LaneView`]: entries
 /// `offsets[v]..offsets[v + 1]` are `v`'s `(neighbor, edge, weight)`
-/// triples, in the view's own [`neighbors`](GraphView::neighbors) order.
+/// triples.
 ///
 /// Repacking reuses both buffers, so a lane that outlives many packs
 /// (one per routed net) allocates only while it grows.
-///
-/// # Example
-///
-/// ```
-/// use route_graph::{Graph, GraphView, LaneView, LiveLane, Weight};
-///
-/// # fn main() -> Result<(), route_graph::GraphError> {
-/// let mut g = Graph::with_nodes(3);
-/// let n: Vec<_> = g.node_ids().collect();
-/// g.add_edge(n[0], n[1], Weight::from_units(2))?;
-/// g.add_edge(n[1], n[2], Weight::from_units(3))?;
-/// let mut lane = LiveLane::new();
-/// lane.pack(&g);
-/// let view = LaneView::new(&g, &lane);
-/// assert_eq!(view.neighbors(n[1]).count(), 2);
-/// # Ok(())
-/// # }
-/// ```
 #[derive(Debug, Clone, Default)]
 pub struct LiveLane {
     offsets: Vec<u32>,
     entries: Vec<(NodeId, EdgeId, Weight)>,
+    /// Nodes live in the base that the last pack hid.
+    hidden_live: usize,
+    /// Packs taken so far; advances the view's epoch.
+    packs: u64,
 }
 
 impl LiveLane {
-    /// An empty lane; buffers grow on the first [`pack`](Self::pack).
+    /// An empty lane; buffers grow on the first pack.
     #[must_use]
     pub fn new() -> LiveLane {
         LiveLane::default()
     }
 
-    /// Replaces the lane's contents with `g`'s usable adjacency.
-    /// `O(nodes + edges)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` has `u32::MAX` or more adjacency entries.
-    pub fn pack<G: GraphView>(&mut self, g: &G) {
+    /// Replaces the lane's contents with `base`'s usable adjacency under
+    /// `rules`. `O(nodes + edges)`.
+    fn pack<G: GraphView>(&mut self, base: &G, rules: LaneRules<'_>) {
         self.offsets.clear();
         self.entries.clear();
+        self.hidden_live = 0;
+        self.packs = self.packs.wrapping_add(1);
         self.offsets.push(0);
-        for i in 0..g.node_count() {
+        for i in 0..base.node_count() {
             let v = NodeId::from_index(i);
-            if g.is_node_live(v) {
-                self.entries.extend(g.neighbors(v));
+            if base.is_node_live(v) {
+                if rules.hides(v) {
+                    self.hidden_live += 1;
+                } else {
+                    for (u, e, w) in base.neighbors(v) {
+                        if !rules.hides(u) {
+                            self.entries.push((u, e, rules.price(w, v, u, e)));
+                        }
+                    }
+                }
             }
+            // lint: allow(panic-hygiene): a routing graph with 2^32 adjacency entries is far beyond any device this router models
             let end = u32::try_from(self.entries.len()).expect("adjacency fits u32 offsets");
             self.offsets.push(end);
         }
     }
 
     /// `v`'s packed triples (none for nodes beyond the packed range).
-    pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, Weight)> + '_ {
+    fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, Weight)> + '_ {
         let range = match (self.offsets.get(v.index()), self.offsets.get(v.index() + 1)) {
             (Some(&start), Some(&end)) => start as usize..end as usize,
             _ => 0..0,
@@ -261,58 +145,91 @@ impl LiveLane {
     }
 }
 
-/// A view that serves [`neighbors`](GraphView::neighbors) from a
-/// [`LiveLane`] and hands every other query to the view it wraps.
+/// One net's view of a base graph under [`LaneRules`], with its usable
+/// adjacency packed into a [`LiveLane`] (see the [module docs](self)
+/// for the contract).
 ///
-/// The lane must have been packed from `inner` in its current state;
-/// then the two views are indistinguishable, and every shortest-path
-/// run over this one relaxes contiguous triples instead of re-resolving
-/// `inner`'s liveness, overlay deltas and weight wrappers per edge.
+/// # Example
+///
+/// ```
+/// use route_graph::{Graph, GraphView, LaneRules, LaneView, LiveLane, Weight};
+///
+/// # fn main() -> Result<(), route_graph::GraphError> {
+/// let mut g = Graph::with_nodes(3);
+/// let n: Vec<_> = g.node_ids().collect();
+/// let e = g.add_edge(n[0], n[1], Weight::from_units(2))?;
+/// g.add_edge(n[1], n[2], Weight::from_units(3))?;
+/// let hidden = [false, false, true];
+/// let discount = [Weight::UNIT];
+/// let rules = LaneRules { hidden: &hidden, discount: &discount, tilt: None };
+/// let mut lane = LiveLane::new();
+/// let view = LaneView::pack(&g, &mut lane, rules);
+/// assert_eq!(view.neighbors(n[1]).count(), 1);
+/// assert!(!view.is_node_live(n[2]));
+/// assert_eq!(view.weight(e)?, Weight::UNIT);
+/// assert_eq!(g.weight(e)?, Weight::from_units(2)); // the base is untouched
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug)]
 pub struct LaneView<'a, G> {
-    inner: &'a G,
+    base: &'a G,
     lane: &'a LiveLane,
+    rules: LaneRules<'a>,
 }
 
 impl<'a, G: GraphView> LaneView<'a, G> {
-    /// Wraps `inner`, whose adjacency `lane` holds.
-    #[must_use]
-    pub fn new(inner: &'a G, lane: &'a LiveLane) -> LaneView<'a, G> {
-        LaneView { inner, lane }
+    /// Packs `base` under `rules` into `lane`, in one pass, and returns
+    /// the view over it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the view has `u32::MAX` or more adjacency entries.
+    pub fn pack(base: &'a G, lane: &'a mut LiveLane, rules: LaneRules<'a>) -> LaneView<'a, G> {
+        lane.pack(base, rules);
+        LaneView { base, lane, rules }
     }
 }
 
 impl<G: GraphView> GraphView for LaneView<'_, G> {
     fn node_count(&self) -> usize {
-        self.inner.node_count()
+        self.base.node_count()
     }
 
     fn edge_count(&self) -> usize {
-        self.inner.edge_count()
+        self.base.edge_count()
     }
 
     fn live_node_count(&self) -> usize {
-        self.inner.live_node_count()
+        self.base
+            .live_node_count()
+            .saturating_sub(self.lane.hidden_live)
     }
 
     fn live_edge_count(&self) -> usize {
-        self.inner.live_edge_count()
+        self.base.live_edge_count()
     }
 
     fn is_node_live(&self, v: NodeId) -> bool {
-        self.inner.is_node_live(v)
+        self.base.is_node_live(v) && !self.rules.hides(v)
     }
 
     fn is_edge_usable(&self, e: EdgeId) -> bool {
-        self.inner.is_edge_usable(e)
+        self.base.is_edge_usable(e)
+            && self
+                .base
+                .endpoints(e)
+                .is_ok_and(|(a, b)| !self.rules.hides(a) && !self.rules.hides(b))
     }
 
     fn endpoints(&self, e: EdgeId) -> Result<(NodeId, NodeId), GraphError> {
-        self.inner.endpoints(e)
+        self.base.endpoints(e)
     }
 
     fn weight(&self, e: EdgeId) -> Result<Weight, GraphError> {
-        self.inner.weight(e)
+        let w = self.base.weight(e)?;
+        let (a, b) = self.base.endpoints(e)?;
+        Ok(self.rules.price(w, a, b, e))
     }
 
     fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, Weight)> + '_ {
@@ -320,140 +237,162 @@ impl<G: GraphView> GraphView for LaneView<'_, G> {
     }
 
     fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.inner.node_ids()
+        self.base.node_ids().filter(|&v| !self.rules.hides(v))
     }
 
     fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.inner.edge_ids()
+        self.base.edge_ids().filter(|&e| {
+            self.base
+                .endpoints(e)
+                .is_ok_and(|(a, b)| !self.rules.hides(a) && !self.rules.hides(b))
+        })
     }
 
     fn epoch(&self) -> u64 {
-        self.inner.epoch()
+        self.base.epoch().wrapping_add(self.lane.packs)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Graph, GraphOverlay, GraphViewMut, OverlayArena, ShortestPaths};
+    use crate::{Graph, ShortestPaths};
 
     /// A small graph with removed nodes, removed edges, and parallel
-    /// edges — every liveness case the snapshot must preserve.
+    /// edges — every liveness case the view must preserve.
     fn mutated_graph() -> (Graph, Vec<NodeId>) {
         let mut g = Graph::with_nodes(6);
         let n: Vec<NodeId> = g.node_ids().collect();
         let w = Weight::from_units;
         g.add_edge(n[0], n[1], w(1)).unwrap();
         g.add_edge(n[1], n[2], w(2)).unwrap();
-        let dup = g.add_edge(n[1], n[2], w(1)).unwrap();
+        g.add_edge(n[1], n[2], w(1)).unwrap();
         g.add_edge(n[2], n[3], w(3)).unwrap();
         let cut = g.add_edge(n[0], n[3], w(1)).unwrap();
         g.add_edge(n[3], n[4], w(1)).unwrap();
         g.add_edge(n[4], n[5], w(2)).unwrap();
         g.remove_edge(cut).unwrap();
         g.remove_node(n[5]).unwrap();
-        let _ = dup;
         (g, n)
     }
 
-    #[test]
-    fn snapshot_matches_source_view_surface() {
-        let (g, _) = mutated_graph();
-        let csr = CsrView::build(&g);
-        assert_eq!(csr.node_count(), g.node_count());
-        assert_eq!(csr.edge_count(), g.edge_count());
-        assert_eq!(csr.live_node_count(), g.live_node_count());
-        assert_eq!(csr.live_edge_count(), g.live_edge_count());
-        assert_eq!(csr.epoch(), g.epoch());
+    /// Every observable of `view` equals `model`'s.
+    fn assert_same_surface<G: GraphView>(view: &LaneView<'_, G>, model: &Graph) {
+        assert_eq!(view.node_count(), model.node_count());
+        assert_eq!(view.edge_count(), model.edge_count());
+        assert_eq!(view.live_node_count(), model.live_node_count());
+        assert_eq!(view.live_edge_count(), model.live_edge_count());
         assert_eq!(
-            csr.node_ids().collect::<Vec<_>>(),
-            g.node_ids().collect::<Vec<_>>()
+            view.node_ids().collect::<Vec<_>>(),
+            model.node_ids().collect::<Vec<_>>()
         );
         assert_eq!(
-            GraphView::edge_ids(&csr).collect::<Vec<_>>(),
-            g.edge_ids().collect::<Vec<_>>()
+            view.edge_ids().collect::<Vec<_>>(),
+            model.edge_ids().collect::<Vec<_>>()
         );
-        for i in 0..g.edge_count() {
+        for i in 0..model.edge_count() {
             let e = EdgeId::from_index(i);
-            assert_eq!(csr.is_edge_usable(e), g.is_edge_usable(e), "{e}");
-            assert_eq!(GraphView::weight(&csr, e).ok(), g.weight(e).ok());
-            assert_eq!(GraphView::endpoints(&csr, e).ok(), g.endpoints(e).ok());
+            assert_eq!(view.is_edge_usable(e), model.is_edge_usable(e), "{e}");
+            assert_eq!(view.weight(e), model.weight(e), "{e}");
+            assert_eq!(view.endpoints(e), model.endpoints(e), "{e}");
         }
-        for v in (0..g.node_count()).map(NodeId::from_index) {
+        for v in (0..=model.node_count()).map(NodeId::from_index) {
+            assert_eq!(view.is_node_live(v), model.is_node_live(v), "{v}");
             assert_eq!(
-                csr.neighbors(v).collect::<Vec<_>>(),
-                g.neighbors(v).collect::<Vec<_>>(),
+                view.neighbors(v).collect::<Vec<_>>(),
+                model.neighbors(v).collect::<Vec<_>>(),
                 "adjacency of {v} must match in content and order"
             );
         }
     }
 
     #[test]
-    fn shortest_paths_agree_with_source() {
-        let (g, n) = mutated_graph();
-        let csr = CsrView::build(&g);
-        let on_graph = ShortestPaths::run(&g, n[0]).unwrap();
-        let on_csr = ShortestPaths::run(&csr, n[0]).unwrap();
-        for &v in &n {
-            assert_eq!(on_csr.dist(v), on_graph.dist(v));
-            assert_eq!(on_csr.parent(v), on_graph.parent(v));
-        }
+    fn default_rules_mirror_the_base() {
+        let (g, _) = mutated_graph();
+        let mut lane = LiveLane::new();
+        let view = LaneView::pack(&g, &mut lane, LaneRules::default());
+        assert_same_surface(&view, &g);
     }
 
     #[test]
-    fn overlay_over_csr_matches_overlay_over_graph() {
+    fn rules_match_a_clone_mutated_the_old_way() {
         let (g, n) = mutated_graph();
-        let csr = CsrView::build(&g);
-        let mut arena_g = OverlayArena::new();
-        let mut arena_c = OverlayArena::new();
-        let mut over_g = GraphOverlay::bind(&g, &mut arena_g);
-        let mut over_c = GraphOverlay::bind(&csr, &mut arena_c);
-        // The router's per-net mutations: mask a pin, price an edge up.
-        let e0 = g.edge_ids().next().unwrap();
-        over_g.apply(n[2], e0);
-        over_c.apply(n[2], e0);
-        for v in (0..g.node_count()).map(NodeId::from_index) {
-            assert_eq!(
-                over_c.neighbors(v).collect::<Vec<_>>(),
-                over_g.neighbors(v).collect::<Vec<_>>(),
-                "overlaid adjacency of {v}"
-            );
+        let mut hidden = vec![false; g.node_count()];
+        hidden[4] = true;
+        hidden[5] = true; // already removed in the base: no double count
+        let mut discount = vec![Weight::ZERO; g.node_count()];
+        discount[1] = Weight::from_milli(1500);
+        discount[2] = Weight::MAX;
+        let rules = LaneRules {
+            hidden: &hidden,
+            discount: &discount,
+            tilt: Some(7),
+        };
+        let mut model = g.clone();
+        for i in 0..model.edge_count() {
+            let e = EdgeId::from_index(i);
+            let (a, b) = model.endpoints(e).unwrap();
+            let w = model.weight(e).unwrap();
+            let w = w
+                .saturating_sub(discount[a.index()])
+                .saturating_sub(discount[b.index()])
+                .saturating_add(tilt(7, e));
+            model.set_weight(e, w).unwrap();
         }
-        let sp_g = ShortestPaths::run(&over_g, n[0]).unwrap();
-        let sp_c = ShortestPaths::run(&over_c, n[0]).unwrap();
+        model.remove_node(n[4]).unwrap();
+        let mut lane = LiveLane::new();
+        let view = LaneView::pack(&g, &mut lane, rules);
+        assert_same_surface(&view, &model);
+        // The base saw none of it.
+        assert!(g.is_node_live(n[4]));
+        assert_eq!(g.weight(EdgeId::from_index(0)), Ok(Weight::from_units(1)));
+    }
+
+    #[test]
+    fn shortest_paths_agree_with_source() {
+        let (g, n) = mutated_graph();
+        let mut lane = LiveLane::new();
+        let view = LaneView::pack(&g, &mut lane, LaneRules::default());
+        let on_graph = ShortestPaths::run(&g, n[0]).unwrap();
+        let on_lane = ShortestPaths::run(&view, n[0]).unwrap();
         for &v in &n {
-            assert_eq!(sp_c.dist(v), sp_g.dist(v));
-            assert_eq!(sp_c.parent(v), sp_g.parent(v));
-        }
-    }
-
-    /// Helper trait so the test above applies identical mutations to two
-    /// differently-typed overlays.
-    trait FnMutProbe {
-        fn apply(&mut self, mask: NodeId, price: EdgeId);
-    }
-
-    impl<B: OverlayBase> FnMutProbe for GraphOverlay<'_, B> {
-        fn apply(&mut self, mask: NodeId, price: EdgeId) {
-            self.remove_node(mask).unwrap();
-            self.add_weight(price, Weight::from_units(7)).unwrap();
+            assert_eq!(on_lane.dist(v), on_graph.dist(v));
+            assert_eq!(on_lane.parent(v), on_graph.parent(v));
         }
     }
 
     #[test]
     fn unknown_ids_are_rejected_not_panicked() {
         let (g, _) = mutated_graph();
-        let csr = CsrView::build(&g);
+        let hidden = [true; 2];
+        let mut lane = LiveLane::new();
+        let rules = LaneRules {
+            hidden: &hidden,
+            discount: &[],
+            tilt: Some(1),
+        };
+        let view = LaneView::pack(&g, &mut lane, rules);
         let far_node = NodeId::from_index(99);
         let far_edge = EdgeId::from_index(99);
-        assert!(!csr.is_node_live(far_node));
-        assert!(!csr.is_edge_usable(far_edge));
-        assert!(!csr.base_edge_alive(far_edge));
-        assert_eq!(csr.neighbors(far_node).count(), 0);
-        assert!(csr.base_adj(far_node).is_empty());
-        assert!(matches!(
-            GraphView::weight(&csr, far_edge),
-            Err(GraphError::EdgeOutOfBounds(_))
-        ));
+        assert!(!view.is_node_live(far_node));
+        assert!(!view.is_edge_usable(far_edge));
+        assert_eq!(view.neighbors(far_node).count(), 0);
+        assert_eq!(
+            view.weight(far_edge),
+            Err(GraphError::EdgeOutOfBounds(far_edge))
+        );
+        assert_eq!(
+            view.require_live_node(far_node),
+            Err(GraphError::NodeOutOfBounds(far_node))
+        );
+    }
+
+    #[test]
+    fn tilt_stays_within_its_mask() {
+        for salt in 0..8u64 {
+            for i in 0..64 {
+                assert!(tilt(salt, EdgeId::from_index(i)) <= Weight::from_milli(TILT_MASK));
+            }
+        }
     }
 }

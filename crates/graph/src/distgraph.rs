@@ -300,7 +300,7 @@ impl TerminalDistances {
 /// The oracle does not borrow a graph; each [`DistanceOracle::paths`] call
 /// takes the view to answer against and remembers its [`GraphView::epoch`].
 /// When a later call arrives with a different epoch — the graph was mutated,
-/// or a different graph/overlay was passed — every cached run is stale and
+/// or a different graph or view was passed — every cached run is stale and
 /// the cache is flushed before answering.
 #[derive(Debug, Default)]
 pub struct DistanceOracle {

@@ -445,18 +445,6 @@ impl Graph {
         (count > 0).then(|| total / count as f64)
     }
 
-    /// Raw adjacency entries of `v`, including entries whose edge or
-    /// neighbor is currently removed (the overlay filters by its own
-    /// liveness state, preserving insertion order).
-    pub(crate) fn adj_entries(&self, v: NodeId) -> &[(NodeId, EdgeId)] {
-        self.nodes.get(v.index()).map_or(&[], |rec| rec.adj.as_slice())
-    }
-
-    /// The edge's own removal flag, ignoring endpoint liveness.
-    pub(crate) fn edge_alive_flag(&self, e: EdgeId) -> bool {
-        self.edges.get(e.index()).is_some_and(|rec| rec.alive)
-    }
-
     fn check_node(&self, v: NodeId) -> Result<(), GraphError> {
         if v.index() < self.nodes.len() {
             Ok(())

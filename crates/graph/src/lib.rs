@@ -25,12 +25,11 @@
 //! * [`lowerbound`] — the admissible potentials steering those variants:
 //!   grid-Manhattan bounds for RR-graph-shaped grids and ALT landmark
 //!   tables for general graphs, all in saturating [`Weight`] math.
-//! * [`csr`] — flat compressed-sparse-row adjacency: [`LiveLane`] packs
-//!   any view's `(neighbor, edge, weight)` triples into one contiguous
-//!   array for cache-friendly relaxation sweeps, [`LaneView`] routes over
-//!   a packed lane, and the snapshot [`csr::CsrView`] serves both
-//!   [`GraphView`] and [`OverlayBase`], so per-worker overlays bind over
-//!   it unchanged.
+//! * [`csr`] — the per-net routing view: [`LaneView`] packs a base
+//!   graph's usable adjacency, under the net's [`LaneRules`] (hidden
+//!   nodes, per-node discounts, a tie-break tilt), in one pass into a
+//!   [`LiveLane`] of contiguous `(neighbor, edge, weight)` triples for
+//!   cache-friendly relaxation sweeps, without mutating the base.
 //! * [`TerminalDistances`] — the *distance graph* over a net's terminals
 //!   (the complete graph whose edge weights are shortest-path costs in `G`),
 //!   the shared primitive of KMB, ZEL, DOM and the iterated constructions.
@@ -41,10 +40,8 @@
 //! * [`random`] — seeded random graph / net workload generators.
 //! * [`rng`] — a vendored SplitMix64 PRNG so the workspace builds with no
 //!   network access (no crates.io dependencies).
-//! * [`view`] / [`overlay`] — the [`GraphView`] read abstraction served by
-//!   both [`Graph`] and the epoch-tagged copy-on-write [`GraphOverlay`],
-//!   which gives PathFinder's route-phase workers O(changed) private views
-//!   of one priced snapshot with O(1) restore instead of full clones.
+//! * [`view`] — the [`GraphView`] read abstraction served by [`Graph`]
+//!   and [`LaneView`].
 //! * [`floyd`] — Floyd–Warshall all-pairs shortest paths, used as a test
 //!   oracle against Dijkstra.
 //!
@@ -80,14 +77,13 @@ mod ids;
 pub mod lowerbound;
 pub mod mst;
 pub mod multiweight;
-pub mod overlay;
 pub mod path;
 pub mod random;
 pub mod rng;
 pub mod view;
 mod weight;
 
-pub use csr::{CsrView, LaneView, LiveLane};
+pub use csr::{LaneRules, LaneView, LiveLane};
 pub use dijkstra::{KernelScratch, ShortestPaths};
 pub use distgraph::{DistanceOracle, TerminalDistances};
 pub use lowerbound::{GridPotential, LandmarkPotential, Potential, ZeroPotential};
@@ -95,7 +91,6 @@ pub use error::GraphError;
 pub use graph::Graph;
 pub use grid::GridGraph;
 pub use ids::{EdgeId, NodeId};
-pub use overlay::{GraphOverlay, OverlayArena, OverlayBase};
 pub use path::Path;
-pub use view::{GraphView, GraphViewMut};
+pub use view::GraphView;
 pub use weight::{Weight, MILLI_PER_UNIT};

@@ -1,24 +1,20 @@
-//! Read (and write) views over routing graphs.
+//! Read views over routing graphs.
 //!
-//! [`GraphView`] abstracts the read surface shared by [`Graph`],
-//! [`GraphOverlay`](crate::overlay::GraphOverlay), the flat-CSR
-//! snapshot [`CsrView`](crate::csr::CsrView) and the packed-lane
-//! [`LaneView`](crate::csr::LaneView): every shortest-path routine and
-//! Steiner construction is generic over it, so the same code routes
-//! against the real pass graph, against a per-worker copy-on-write
-//! overlay during PathFinder's route phase, or against the cache-packed
-//! lane the router builds per net.
-//! [`GraphViewMut`] adds the mutations the router needs while building a
-//! net (pin masking and congestion feedback).
+//! [`GraphView`] abstracts the read surface shared by [`Graph`] and the
+//! per-net [`LaneView`](crate::csr::LaneView): every shortest-path
+//! routine and Steiner construction is generic over it, so the same code
+//! routes against a plain graph or against the view the router packs
+//! for each net (foreign pins hidden, PathFinder's discounts and tilt
+//! applied) without mutating the graph underneath.
 //!
-//! The traits use `impl Trait` in return position, so they are not object
+//! The trait uses `impl Trait` in return position, so it is not object
 //! safe; all users are monomorphized. [`Graph`] remains the default type
 //! parameter everywhere (`SteinerHeuristic<G = Graph>`), which keeps
 //! existing non-generic call sites compiling unchanged.
 
 use crate::{EdgeId, Graph, GraphError, NodeId, Weight};
 
-/// Read access to a (possibly overlaid) routing graph.
+/// Read access to a routing graph, or to one net's view of it.
 ///
 /// Semantics mirror [`Graph`]'s inherent methods exactly; see those for
 /// detailed contracts. Implementations must agree with `Graph` on
@@ -133,56 +129,6 @@ pub trait GraphView {
     }
 }
 
-/// Mutation access layered on top of [`GraphView`]: the operations the
-/// router performs while building one net (pin masking, congestion
-/// feedback). Semantics mirror the [`Graph`] methods of the same names.
-pub trait GraphViewMut: GraphView {
-    /// Sets the weight of edge `e`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::EdgeOutOfBounds`] for an unknown id.
-    fn set_weight(&mut self, e: EdgeId, weight: Weight) -> Result<(), GraphError>;
-
-    /// Adds `delta` to the weight of edge `e`, saturating at [`Weight::MAX`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::EdgeOutOfBounds`] for an unknown id.
-    fn add_weight(&mut self, e: EdgeId, delta: Weight) -> Result<(), GraphError> {
-        let w = self.weight(e)?;
-        self.set_weight(e, w.saturating_add(delta))
-    }
-
-    /// Removes edge `e` (reversible; no-op when already removed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::EdgeOutOfBounds`] for an unknown id.
-    fn remove_edge(&mut self, e: EdgeId) -> Result<(), GraphError>;
-
-    /// Restores a previously removed edge (no-op when live).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::EdgeOutOfBounds`] for an unknown id.
-    fn restore_edge(&mut self, e: EdgeId) -> Result<(), GraphError>;
-
-    /// Removes node `v` (reversible; no-op when already removed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::NodeOutOfBounds`] for an unknown id.
-    fn remove_node(&mut self, v: NodeId) -> Result<(), GraphError>;
-
-    /// Restores a previously removed node (no-op when live).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::NodeOutOfBounds`] for an unknown id.
-    fn restore_node(&mut self, v: NodeId) -> Result<(), GraphError>;
-}
-
 impl GraphView for Graph {
     fn node_count(&self) -> usize {
         Graph::node_count(self)
@@ -200,6 +146,10 @@ impl GraphView for Graph {
         Graph::live_edge_count(self)
     }
 
+    // This and `neighbors` are inlined across crates: the per-net pack
+    // (`LaneView::pack`) is instantiated in the router's crate and calls
+    // both once per node, where an out-of-line call is measurably slower.
+    #[inline]
     fn is_node_live(&self, v: NodeId) -> bool {
         Graph::is_node_live(self, v)
     }
@@ -216,6 +166,7 @@ impl GraphView for Graph {
         Graph::weight(self, e)
     }
 
+    #[inline]
     fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, Weight)> + '_ {
         Graph::neighbors(self, v)
     }
@@ -253,32 +204,6 @@ impl GraphView for Graph {
     }
 }
 
-impl GraphViewMut for Graph {
-    fn set_weight(&mut self, e: EdgeId, weight: Weight) -> Result<(), GraphError> {
-        Graph::set_weight(self, e, weight)
-    }
-
-    fn add_weight(&mut self, e: EdgeId, delta: Weight) -> Result<(), GraphError> {
-        Graph::add_weight(self, e, delta)
-    }
-
-    fn remove_edge(&mut self, e: EdgeId) -> Result<(), GraphError> {
-        Graph::remove_edge(self, e)
-    }
-
-    fn restore_edge(&mut self, e: EdgeId) -> Result<(), GraphError> {
-        Graph::restore_edge(self, e)
-    }
-
-    fn remove_node(&mut self, v: NodeId) -> Result<(), GraphError> {
-        Graph::remove_node(self, v)
-    }
-
-    fn restore_node(&mut self, v: NodeId) -> Result<(), GraphError> {
-        Graph::restore_node(self, v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,19 +236,5 @@ mod tests {
         let v = GraphView::node_ids(&g).next().unwrap();
         assert_eq!(GraphView::live_degree(&g, v), 1);
         assert!(GraphView::require_live_node(&g, v).is_ok());
-    }
-
-    #[test]
-    fn mutations_through_the_trait_match_inherent_behaviour() {
-        let mut g = line(3);
-        let e = GraphView::edge_ids(&g).next().unwrap();
-        let before = GraphView::epoch(&g);
-        GraphViewMut::add_weight(&mut g, e, Weight::UNIT).unwrap();
-        assert_eq!(GraphView::weight(&g, e).unwrap(), Weight::from_units(2));
-        GraphViewMut::remove_edge(&mut g, e).unwrap();
-        assert!(!GraphView::is_edge_usable(&g, e));
-        GraphViewMut::restore_edge(&mut g, e).unwrap();
-        assert!(GraphView::is_edge_usable(&g, e));
-        assert!(GraphView::epoch(&g) > before, "mutations advance the epoch");
     }
 }

@@ -12,16 +12,16 @@
 //! * a [`TerminalDistances`] that reuses one scratch across its
 //!   per-terminal runs and repeated `push_terminal` calls against fresh
 //!   runs;
-//! * a [`LaneView`]'s adjacency against the view it wraps, over a plain
-//!   graph and over an overlay with masked pins and repriced edges.
+//! * a [`LaneView`]'s adjacency against its base graph, and, with masked
+//!   pins, discounts and a tilt, against a clone mutated the same way.
 
 use route_graph::dijkstra::{minpath, minpath_guided, minpath_with};
 use route_graph::floyd::AllPairs;
 use route_graph::rng::{Rng, SplitMix64};
+use route_graph::csr::tilt;
 use route_graph::{
-    DistanceOracle, EdgeId, Graph, GraphOverlay, GraphView, GraphViewMut, KernelScratch,
-    LandmarkPotential, LaneView, LiveLane, NodeId, OverlayArena, ShortestPaths, TerminalDistances,
-    Weight,
+    DistanceOracle, EdgeId, Graph, GraphView, KernelScratch, LandmarkPotential, LaneRules,
+    LaneView, LiveLane, NodeId, ShortestPaths, TerminalDistances, Weight,
 };
 
 /// A seeded graph with every liveness case the kernel must skip: random
@@ -235,10 +235,9 @@ fn lane_view_neighbors_equal_the_wrapped_view() {
     for seed in 300..330u64 {
         let g = mutated_graph(seed);
         let mut rng = SplitMix64::seed_from_u64(seed ^ 0x1a4e);
-        // Over the plain graph, dead nodes and one id past the end
-        // included.
-        lane.pack(&g);
-        let view = LaneView::new(&g, &lane);
+        // Under no rules, over the graph itself: dead nodes and one id
+        // past the end included.
+        let view = LaneView::pack(&g, &mut lane, LaneRules::default());
         for i in 0..=g.node_count() {
             let v = NodeId::from_index(i);
             assert_eq!(
@@ -248,45 +247,58 @@ fn lane_view_neighbors_equal_the_wrapped_view() {
             );
         }
 
-        // Over an overlay: mask some "pins", reprice and remove edges,
-        // then repack the same lane.
-        let mut arena = OverlayArena::new();
-        let mut overlay = GraphOverlay::bind(&g, &mut arena);
+        // Mask some "pins", discount some nodes and tilt, then repack the
+        // same lane and compare with a clone mutated the same way.
+        let mut hidden = vec![false; g.node_count()];
+        let mut discount = vec![Weight::ZERO; g.node_count()];
         let live: Vec<NodeId> = g.node_ids().collect();
         for _ in 0..2 {
             if let Some(&v) = live.get(rng.gen_range(0..live.len().max(1))) {
-                overlay.remove_node(v).unwrap();
+                hidden[v.index()] = true;
             }
         }
-        let edges: Vec<EdgeId> = g.edge_ids().collect();
-        for &e in &edges {
-            match rng.gen_range(0..6u32) {
-                0 => overlay
-                    .add_weight(e, Weight::from_milli(rng.gen_range(1..3000u64)))
-                    .unwrap(),
-                1 => overlay
-                    .set_weight(e, Weight::from_units(rng.gen_range(1..=9u64)))
-                    .unwrap(),
-                2 => overlay.remove_edge(e).unwrap(),
-                _ => {}
+        for d in &mut discount {
+            if rng.gen_range(0..4u32) == 0 {
+                *d = Weight::from_milli(rng.gen_range(1..3000u64));
             }
         }
-        lane.pack(&overlay);
-        let view = LaneView::new(&overlay, &lane);
+        let salt = rng.next_u64();
+        let mut model = g.clone();
+        for i in 0..model.edge_count() {
+            let e = EdgeId::from_index(i);
+            let (a, b) = model.endpoints(e).unwrap();
+            let w = model.weight(e).unwrap();
+            let w = w
+                .saturating_sub(discount[a.index()])
+                .saturating_sub(discount[b.index()])
+                .saturating_add(tilt(salt, e));
+            model.set_weight(e, w).unwrap();
+        }
+        for (i, &hide) in hidden.iter().enumerate() {
+            if hide {
+                model.remove_node(NodeId::from_index(i)).unwrap();
+            }
+        }
+        let rules = LaneRules {
+            hidden: &hidden,
+            discount: &discount,
+            tilt: Some(salt),
+        };
+        let view = LaneView::pack(&g, &mut lane, rules);
         for i in 0..=g.node_count() {
             let v = NodeId::from_index(i);
             assert_eq!(
                 view.neighbors(v).collect::<Vec<_>>(),
-                overlay.neighbors(v).collect::<Vec<_>>(),
-                "seed {seed}: overlay adjacency of {v}"
+                model.neighbors(v).collect::<Vec<_>>(),
+                "seed {seed}: masked adjacency of {v}"
             );
         }
         // Same adjacency, same answers.
-        let first = overlay.node_ids().next();
+        let first = model.node_ids().next();
         if let Some(source) = first {
-            let direct = ShortestPaths::run(&overlay, source).unwrap();
+            let direct = ShortestPaths::run(&model, source).unwrap();
             let laned = ShortestPaths::run(&view, source).unwrap();
-            for v in overlay.node_ids() {
+            for v in model.node_ids() {
                 assert_same_route(&direct, &laned, v, &format!("seed {seed} lane run"));
             }
         }

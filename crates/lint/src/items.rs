@@ -50,7 +50,7 @@ pub struct CallSite {
 #[derive(Debug, Clone)]
 pub struct FnItem {
     pub name: String,
-    /// Last path segment of the `impl` target (`GraphOverlay`,
+    /// Last path segment of the `impl` target (`LaneView`,
     /// `ShortestPaths`, …); `None` for free functions.
     pub self_ty: Option<String>,
     pub start_line: usize,

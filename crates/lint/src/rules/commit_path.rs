@@ -2,15 +2,15 @@
 //! single-writer cost-update phase.
 //!
 //! The negotiated-congestion router routes every net of an iteration
-//! against one priced snapshot, from worker threads that read it through
-//! overlays. `.reprice_edges(` bulk-rewrites every edge weight of that
+//! against one priced snapshot, from worker threads that pack their
+//! per-net views from it. `.reprice_edges(` bulk-rewrites every edge weight of that
 //! snapshot, and its delta variant `.reprice_incident_edges(` rewrites
 //! the edges around nodes whose pressure changed — either is only sound
 //! after the route phase's workers have joined. The borrow checker
 //! enforces that inside `pathfinder.rs`; this rule keeps the calls there:
 //! calling them anywhere but `pathfinder.rs` (or the graph crate that
 //! defines them) is a diagnostic, because it would mutate prices some
-//! overlay might still be reading through.
+//! worker might still be reading.
 
 use crate::{Diagnostic, FileCtx};
 

@@ -8,7 +8,7 @@
 //! let a worker write the priced snapshot other workers are reading.
 //!
 //! `panic-hygiene` bans `.unwrap()`/`.expect(` in the hot-path modules
-//! (`dijkstra.rs`, `router.rs`, `overlay.rs`, `pathfinder.rs`) outside
+//! (`dijkstra.rs`, `router.rs`, `csr.rs`, `pathfinder.rs`) outside
 //! `#[cfg(test)]`. A panic mid-pass aborts the routing, and on a
 //! PathFinder worker it tears down the whole route phase — errors there
 //! must surface as `FpgaError`/`Option` flow, and the few sites where a
@@ -23,8 +23,8 @@ pub const RULE_UNSAFE: &str = "unsafe-forbid";
 /// Rule name for the hot-path `.unwrap()`/`.expect()` ban.
 pub const RULE_PANIC: &str = "panic-hygiene";
 
-/// The strict tier: the kernel, the router's pass loop, the overlays and
-/// PathFinder's route phase, where *any* panic — even a
+/// The strict tier: the kernel, the router's pass loop, the per-net view
+/// and PathFinder's route phase, where *any* panic — even a
 /// documented-invariant `.expect()` — aborts the pass. Here both
 /// `.unwrap()` and `.expect()` are banned.
 ///
@@ -38,7 +38,7 @@ pub const RULE_PANIC: &str = "panic-hygiene";
 const HOT_PATH_FILES: &[&str] = &[
     "dijkstra.rs",
     "router.rs",
-    "overlay.rs",
+    "csr.rs",
     "pathfinder.rs",
 ];
 

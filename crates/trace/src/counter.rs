@@ -42,10 +42,6 @@ pub enum Counter {
     /// Working-graph clones taken (rip-up pass graphs and PathFinder's
     /// priced snapshot).
     GraphSnapshotClones,
-    /// Copy-on-write overlay binds (PathFinder route-phase workers).
-    OverlayBinds,
-    /// O(1) overlay resets (generation bumps restoring the base state).
-    OverlayResets,
     /// Negotiated-congestion iterations executed (route phase + cost
     /// update), converged or not.
     PathfinderIterations,
@@ -77,7 +73,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order (the dense index order).
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 23] = [
         Counter::DijkstraRuns,
         Counter::DijkstraHeapPops,
         Counter::DijkstraRelaxations,
@@ -92,8 +88,6 @@ impl Counter {
         Counter::DomConnections,
         Counter::NetsRouted,
         Counter::GraphSnapshotClones,
-        Counter::OverlayBinds,
-        Counter::OverlayResets,
         Counter::PathfinderIterations,
         Counter::PathfinderOvercapacityNodes,
         Counter::PathfinderHistoryUpdates,
@@ -123,8 +117,6 @@ impl Counter {
             Counter::DomConnections => "dom_connections",
             Counter::NetsRouted => "nets_routed",
             Counter::GraphSnapshotClones => "graph_snapshot_clones",
-            Counter::OverlayBinds => "overlay_binds",
-            Counter::OverlayResets => "overlay_resets",
             Counter::PathfinderIterations => "pathfinder_iterations",
             Counter::PathfinderOvercapacityNodes => "pathfinder_overcapacity_nodes",
             Counter::PathfinderHistoryUpdates => "pathfinder_history_updates",
@@ -208,10 +200,10 @@ mod tests {
         let mut b = CounterSet::new();
         a.add(Counter::NetsRouted, 2);
         b.add(Counter::NetsRouted, 5);
-        b.add(Counter::OverlayBinds, 1);
+        b.add(Counter::HeapPushes, 1);
         a.merge(&b);
         assert_eq!(a.get(Counter::NetsRouted), 7);
-        assert_eq!(a.get(Counter::OverlayBinds), 1);
+        assert_eq!(a.get(Counter::HeapPushes), 1);
     }
 
     #[test]

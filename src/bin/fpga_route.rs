@@ -5,13 +5,10 @@
 //! fpga-route route --circuit term1 --arch 4000 --width 9 [--algorithm ikmb]
 //!                  [--seed 1995] [--passes 10] [--threads 0]
 //!                  [--mode ripup] [--pf-iterations 50] [--pf-selective]
-//!                  [--pf-stale-slack-milli 8000] [--pf-history-decay-milli 0]
 //!                  [--svg out.svg] [--trace out.jsonl] [--metrics]
 //! fpga-route width --circuit term1 --arch 4000 [--min 3] [--max 24]
 //!                  [--algorithm ikmb] [--baseline] [--threads 0]
-//!                  [--mode ripup] [--pf-iterations 50]
-//!                  [--pf-selective] [--pf-stale-slack-milli 8000]
-//!                  [--pf-history-decay-milli 0]
+//!                  [--mode ripup] [--pf-iterations 50] [--pf-selective]
 //!                  [--probe-threads 0] [--trace out.jsonl] [--metrics]
 //! fpga-route net --rows 20 --cols 20 --pins 5 [--algorithm idom] [--seed 7]
 //! fpga-route trace-check <file.jsonl>
@@ -59,14 +56,12 @@ usage:
                    [--algorithm <name>] [--seed <n>] [--passes <n>] [--threads <n>]
                    [--mode <ripup|pathfinder>]
                    [--pf-iterations <n>] [--pf-selective]
-                   [--pf-stale-slack-milli <n>] [--pf-history-decay-milli <n>]
                    [--svg <file>] [--trace <file>] [--stream] [--metrics]
   fpga-route width --circuit <name> --arch <3000|4000>
                    [--min <W>] [--max <W>] [--algorithm <name>] [--baseline]
                    [--threads <n>]
                    [--mode <ripup|pathfinder>] [--pf-iterations <n>]
-                   [--pf-selective] [--pf-stale-slack-milli <n>]
-                   [--pf-history-decay-milli <n>]
+                   [--pf-selective]
                    [--probe-threads <n>] [--trace <file>] [--stream] [--metrics]
   fpga-route net   --rows <n> --cols <n> --pins <n> [--algorithm <name>] [--seed <n>]
   fpga-route trace-check <file.jsonl>
@@ -83,10 +78,6 @@ usage:
 --pf-selective: pathfinder dirty-net mode — only nets touching over-capacity
                 nodes (or gone stale) reroute each iteration, with delta
                 repricing; iteration cost tracks remaining congestion
---pf-stale-slack-milli: history growth along a clean net's own tree before
-                        selective mode reroutes it anyway (default 8000)
---pf-history-decay-milli: per-iteration multiplicative history decay out of
-                          1000 (default 0 = off, bit-identical to no decay)
 --probe-threads: concurrent width probes; 0 = one worker per available core
 --trace: telemetry as JSONL (or a single JSON document for .json paths);
          `-` writes JSONL to stdout
@@ -111,8 +102,6 @@ const ROUTE_FLAGS: FlagSpec = &[
     ("mode", true),
     ("pf-iterations", true),
     ("pf-selective", false),
-    ("pf-stale-slack-milli", true),
-    ("pf-history-decay-milli", true),
     ("svg", true),
     ("trace", true),
     ("stream", false),
@@ -131,8 +120,6 @@ const WIDTH_FLAGS: FlagSpec = &[
     ("mode", true),
     ("pf-iterations", true),
     ("pf-selective", false),
-    ("pf-stale-slack-milli", true),
-    ("pf-history-decay-milli", true),
     ("probe-threads", true),
     ("trace", true),
     ("stream", false),
@@ -418,16 +405,6 @@ fn cmd_route(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         mode: mode(flags)?,
         pf_max_iterations: get_usize(flags, "pf-iterations", Some(defaults.pf_max_iterations))?,
         pf_selective: flags.contains_key("pf-selective"),
-        pf_stale_slack_milli: get_u64(
-            flags,
-            "pf-stale-slack-milli",
-            defaults.pf_stale_slack_milli,
-        )?,
-        pf_history_decay_milli: get_u64(
-            flags,
-            "pf-history-decay-milli",
-            defaults.pf_history_decay_milli,
-        )?,
         ..defaults
     };
     let collector = maybe_collector(flags)?;
@@ -478,13 +455,6 @@ fn cmd_width(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     let defaults = RouterConfig::default();
     let pf_max_iterations = get_usize(flags, "pf-iterations", Some(defaults.pf_max_iterations))?;
     let pf_selective = flags.contains_key("pf-selective");
-    let pf_stale_slack_milli =
-        get_u64(flags, "pf-stale-slack-milli", defaults.pf_stale_slack_milli)?;
-    let pf_history_decay_milli = get_u64(
-        flags,
-        "pf-history-decay-milli",
-        defaults.pf_history_decay_milli,
-    )?;
     let route = |device: &Device| {
         if use_baseline {
             BaselineRouter::new(
@@ -505,8 +475,6 @@ fn cmd_width(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
                     mode: route_mode,
                     pf_max_iterations,
                     pf_selective,
-                    pf_stale_slack_milli,
-                    pf_history_decay_milli,
                     ..RouterConfig::default()
                 },
             )
@@ -774,7 +742,13 @@ mod tests {
     #[test]
     fn removed_speculation_flags_are_rejected() {
         for (command, spec) in [("route", ROUTE_FLAGS), ("width", WIDTH_FLAGS)] {
-            for flag in ["scheduler", "spec-exit-misses", "spec-probe-period"] {
+            for flag in [
+                "scheduler",
+                "spec-exit-misses",
+                "spec-probe-period",
+                "pf-stale-slack-milli",
+                "pf-history-decay-milli",
+            ] {
                 let err = parse_flags(&[format!("--{flag}"), "1".into()], command, spec)
                     .unwrap_err()
                     .to_string();
@@ -829,39 +803,10 @@ mod tests {
 
     #[test]
     fn selective_pathfinder_flags_parse() {
-        // `--pf-selective` is a presence flag; the two tuning knobs take
-        // values and default to RouterConfig's.
-        let parsed = parse_flags(
-            &[
-                "--pf-selective".into(),
-                "--pf-stale-slack-milli".into(),
-                "4000".into(),
-                "--pf-history-decay-milli".into(),
-                "200".into(),
-            ],
-            "route",
-            ROUTE_FLAGS,
-        )
-        .unwrap();
+        // `--pf-selective` is a presence flag on both routing commands.
+        let parsed = parse_flags(&["--pf-selective".into()], "route", ROUTE_FLAGS).unwrap();
         assert!(parsed.contains_key("pf-selective"));
-        assert_eq!(get_u64(&parsed, "pf-stale-slack-milli", 8000).unwrap(), 4000);
-        assert_eq!(get_u64(&parsed, "pf-history-decay-milli", 0).unwrap(), 200);
-        let defaults = RouterConfig::default();
-        assert!(!defaults.pf_selective);
-        assert_eq!(
-            get_u64(&flags(&[]), "pf-stale-slack-milli", defaults.pf_stale_slack_milli).unwrap(),
-            8000
-        );
-        assert_eq!(
-            get_u64(
-                &flags(&[]),
-                "pf-history-decay-milli",
-                defaults.pf_history_decay_milli
-            )
-            .unwrap(),
-            0
-        );
-        // The width command accepts the same trio.
+        assert!(!RouterConfig::default().pf_selective);
         assert!(parse_flags(&["--pf-selective".into()], "width", WIDTH_FLAGS).is_ok());
     }
 

@@ -307,35 +307,6 @@ fn selective_unroutable_matches_full_mode_and_is_thread_independent() {
 }
 
 #[test]
-fn history_decay_is_deterministic_across_threads() {
-    // Decay runs in the single-writer sweep, so a decayed negotiation is
-    // just as partition-independent as an undecayed one.
-    let config = |threads| RouterConfig {
-        pf_history_decay_milli: 125,
-        ..selective_config(threads)
-    };
-    let sequential = route_tiny(8, config(1)).unwrap();
-    for threads in [2usize, 4] {
-        let parallel = route_tiny(8, config(threads)).unwrap();
-        assert_eq!(parallel.trees, sequential.trees, "threads {threads}");
-        assert_eq!(parallel.passes, sequential.passes, "threads {threads}");
-    }
-    // Decay off is the exact undecayed router: the flag default changes
-    // nothing about the trajectory.
-    let undecayed = route_tiny(8, selective_config(1)).unwrap();
-    let explicit_zero = route_tiny(
-        8,
-        RouterConfig {
-            pf_history_decay_milli: 0,
-            ..selective_config(1)
-        },
-    )
-    .unwrap();
-    assert_eq!(explicit_zero.trees, undecayed.trees);
-    assert_eq!(explicit_zero.passes, undecayed.passes);
-}
-
-#[test]
 fn saturated_pricing_degrades_gracefully_instead_of_panicking() {
     // Maximal pricing drives every contended node to Weight::MAX after
     // one iteration. All arithmetic saturates, so the router must still
