@@ -113,6 +113,16 @@ grep -q '"name":"pathfinder_dirty_nets"' "$sel_trace"
 grep -q '"name":"pathfinder_skipped_nets"' "$sel_trace"
 grep -q '"name":"pathfinder_repriced_edges"' "$sel_trace"
 
+echo "==> IDOM smoke: route --algorithm idom --trace --stream"
+idom_trace="$(mktemp /tmp/fpga_route_idom.XXXXXX.jsonl)"
+trap 'rm -f "$trace_file" "$bad_file" "$pf_trace" "$sel_trace" "$idom_trace"' EXIT
+./target/release/fpga_route route --circuit term1 --arch 4000 --width 10 \
+    --algorithm idom --trace "$idom_trace" --stream --metrics
+./target/release/fpga_route trace-check "$idom_trace"
+grep -q '"name":"dom_connections"' "$idom_trace"
+grep -q '"name":"steiner_screen_ns"' "$idom_trace"
+grep -q '"name":"steiner_verify_ns"' "$idom_trace"
+
 echo "==> bench-diff self-check (identical snapshots must pass the gate)"
 ./target/release/fpga_route bench-diff BENCH_pathfinder.json BENCH_pathfinder.json --threshold 5
 
@@ -121,7 +131,7 @@ BENCH_QUICK=1 cargo bench -p bench --bench pathfinder
 
 echo "==> bench-diff perf gate (checked-in baseline vs fresh run, warn-only)"
 fresh_bench="$(mktemp /tmp/fpga_bench_fresh.XXXXXX.json)"
-trap 'rm -f "$trace_file" "$bad_file" "$pf_trace" "$sel_trace" "$fresh_bench"' EXIT
+trap 'rm -f "$trace_file" "$bad_file" "$pf_trace" "$sel_trace" "$idom_trace" "$fresh_bench"' EXIT
 cp BENCH_pathfinder.json "$fresh_bench"
 git checkout -- BENCH_pathfinder.json 2>/dev/null || true
 ./target/release/fpga_route bench-diff BENCH_pathfinder.json "$fresh_bench" \
@@ -137,7 +147,7 @@ echo "==> kernel bench + bench-diff perf gate (hard fail, retried)"
 # cross-session drift while still catching integer-factor slowdowns;
 # the bench's own A*+CSR >= 1.3x assertion is retried with it.
 fresh_kernel="$(mktemp /tmp/fpga_bench_kernel.XXXXXX.json)"
-trap 'rm -f "$trace_file" "$bad_file" "$pf_trace" "$sel_trace" "$fresh_bench" "$fresh_kernel"' EXIT
+trap 'rm -f "$trace_file" "$bad_file" "$pf_trace" "$sel_trace" "$idom_trace" "$fresh_bench" "$fresh_kernel"' EXIT
 kernel_gate_ok=0
 for attempt in 1 2 3; do
     if cargo bench -p bench --bench kernel \

@@ -12,8 +12,8 @@ use route_graph::{EdgeId, GraphError, GraphView, NodeId, TerminalDistances, Weig
 
 use crate::dominance::dominates;
 use crate::heuristic::{
-    construct_via_base, require_connected, HeuristicInfo, IteratedBase, IteratedBaseInfo,
-    SteinerHeuristic,
+    construct_via_base, price_below, require_connected, HeuristicInfo, IteratedBase,
+    IteratedBaseInfo, SteinerHeuristic,
 };
 use crate::subgraph::spt_over_edges;
 use crate::{Net, RoutingTree, SteinerError};
@@ -184,6 +184,70 @@ impl IteratedBaseInfo for Dom {
 }
 
 impl<G: GraphView> IteratedBase<G> for Dom {
+    /// Prices each candidate at its exact DOM cost, in `O(k)` over a
+    /// per-round summary of `T`: each member `p`'s source distance
+    /// `d0(p)` and `b(p)`, the cost of its cheapest dominated parent
+    /// within `T` (what `Members::parents` finds).
+    ///
+    /// Adding `t`, whose index sits above every member's, changes only
+    /// two things. A member `p ≥ 1` may take `t` as its parent, which
+    /// under the `(d0, index)` tie rule needs `d0(t) < d0(p)` strictly:
+    /// `p`'s term is `d(t, p)` when `t` qualifies and `d(t, p) < b(p)`,
+    /// else `b(p)`. And `t` needs a parent of its own: the cheapest
+    /// `d(s, t)` over members `s` with `d0(s) ≤ d0(t)` that `t`
+    /// dominates (the source always qualifies).
+    fn screen_round(
+        &self,
+        _g: &G,
+        td: &TerminalDistances,
+        pool: &[NodeId],
+        scored: &mut Vec<(Weight, NodeId)>,
+    ) -> Result<(), SteinerError> {
+        require_connected(td, None)?;
+        let k = td.len();
+        let members = Members {
+            td,
+            candidate: None,
+        };
+        let parents = members.parents()?;
+        let reference = parents.iter().map(|&(_, d)| d).sum();
+        let d0: Vec<Weight> = (0..k)
+            .map(|m| td.dist(0, m).expect("T is connected"))
+            .collect();
+        // b[0] is never read: the source takes no parent.
+        let b: Vec<Weight> = std::iter::once(Weight::ZERO)
+            .chain(parents.iter().map(|&(_, d)| d))
+            .collect();
+        let mut priced = 0u64;
+        price_below(pool, reference, scored, |t| {
+            let d0t = td.dist_to_node(0, t)?;
+            priced += 1;
+            let mut cost = Weight::ZERO;
+            let mut own = d0t;
+            for m in 0..k {
+                let dm = td.dist_to_node(m, t);
+                if m > 0 {
+                    let term = match dm {
+                        Some(d) if d0t < d0[m] && dominates(d0[m], d0t, d) && d < b[m] => d,
+                        _ => b[m],
+                    };
+                    cost = cost.saturating_add(term);
+                }
+                if let Some(d) = dm {
+                    if d0[m] <= d0t && dominates(d0t, d0[m], d) && d < own {
+                        own = d;
+                    }
+                }
+            }
+            Some(cost.saturating_add(own))
+        });
+        if route_trace::enabled() {
+            // The exact cost connects k nodes per candidate: T's sinks and t.
+            route_trace::count(route_trace::Counter::DomConnections, priced * k as u64);
+        }
+        Ok(())
+    }
+
     fn cost_with(
         &self,
         _g: &G,

@@ -122,23 +122,56 @@ pub trait IteratedBase<G: GraphView = Graph>: IteratedBaseInfo {
         Ok(self.build_with(g, td, candidate)?.cost())
     }
 
-    /// A cheap *upper bound* on [`cost_with`](IteratedBase::cost_with),
-    /// used by [`Iterated`](crate::Iterated) in screened mode to rank
-    /// candidates before spending full evaluations on the best ones.
+    /// Prices one screened round of [`Iterated`](crate::Iterated): every
+    /// candidate of `pool` against the terminal set `T` of `td`, pushing
+    /// `(price, t)` onto `scored` for each candidate priced strictly below
+    /// the round's reference.
     ///
-    /// The default is the exact cost itself; KMB overrides it with the
-    /// distance-graph MST cost (no path expansion or re-MST).
+    /// A price is an *upper bound* on `cost_with(Some(t))`, and the
+    /// reference is the same bound for `T` alone; the template re-checks
+    /// every scored candidate with the exact cost before accepting it.
+    /// Candidates the bound cannot price (unreachable from the source)
+    /// are left out. `pool` holds no member of `T`.
+    ///
+    /// The default prices each candidate with
+    /// [`cost_with`](IteratedBase::cost_with) against the reference
+    /// `cost_with(None)`. KMB overrides it with distance-graph MST prices
+    /// and DOM with its exact cost, each over a summary of `T` built once
+    /// per round.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`cost_with`](IteratedBase::cost_with).
-    fn screen_with(
+    /// Returns the reference's error: [`GraphError::Disconnected`] if `T`
+    /// cannot be spanned.
+    fn screen_round(
         &self,
         g: &G,
         td: &TerminalDistances,
-        candidate: Option<NodeId>,
-    ) -> Result<Weight, SteinerError> {
-        self.cost_with(g, td, candidate)
+        pool: &[NodeId],
+        scored: &mut Vec<(Weight, NodeId)>,
+    ) -> Result<(), SteinerError> {
+        let reference = self.cost_with(g, td, None)?;
+        price_below(pool, reference, scored, |t| {
+            self.cost_with(g, td, Some(t)).ok()
+        });
+        Ok(())
+    }
+}
+
+/// Pushes `(price, t)` onto `scored` for every candidate `t` of `pool`
+/// that `price` can price strictly below `reference`.
+pub(crate) fn price_below(
+    pool: &[NodeId],
+    reference: Weight,
+    scored: &mut Vec<(Weight, NodeId)>,
+    mut price: impl FnMut(NodeId) -> Option<Weight>,
+) {
+    for &t in pool {
+        if let Some(c) = price(t) {
+            if c < reference {
+                scored.push((c, t));
+            }
+        }
     }
 }
 

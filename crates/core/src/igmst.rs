@@ -17,7 +17,11 @@
 
 use route_graph::{GraphView, NodeId, TerminalDistances, Weight};
 
-use crate::heuristic::{HeuristicInfo, IteratedBase, IteratedBaseInfo, SteinerHeuristic};
+use route_trace::Metric;
+
+use crate::heuristic::{
+    price_below, HeuristicInfo, IteratedBase, IteratedBaseInfo, SteinerHeuristic,
+};
 use crate::{Net, RoutingTree, SteinerError};
 
 /// Which graph nodes the template considers as Steiner candidates.
@@ -55,7 +59,7 @@ pub struct IteratedConfig {
     /// Optional hard cap on the number of accepted Steiner points.
     pub max_steiner_points: Option<usize>,
     /// Rank candidates with the base's cheap
-    /// [`screen_with`](crate::IteratedBase::screen_with) upper bound and
+    /// [`screen_round`](crate::IteratedBase::screen_round) upper bounds and
     /// spend full evaluations only on the most promising ones.
     /// Acceptances are still verified with the exact cost, so the invariant
     /// "cost strictly decreases" is unaffected; only ranking and pruning
@@ -173,45 +177,36 @@ impl<H: IteratedBaseInfo> Iterated<H> {
             _ => TerminalDistances::compute(g, net.terminals())?,
         };
         let mut current = self.base.cost_with(g, &td, None)?;
-        let pool = self.candidate_pool(g, &td);
+        // Accepted points leave the pool, so it never holds a member.
+        let mut pool = self.candidate_pool(g, &td);
+        let mut scored: Vec<(Weight, NodeId)> = Vec::new();
         let mut steiner_points: Vec<NodeId> = Vec::new();
         let mut rounds = 0usize;
         let traced = route_trace::enabled();
         let mut evaluated = 0u64;
         loop {
             rounds += 1;
+            evaluated += pool.len() as u64;
             // Price every remaining candidate against the current set —
-            // exactly in the default mode, with the base's cheap upper
-            // bound in screened mode.
-            let reference = if self.config.screened {
-                self.base.screen_with(g, &td, None)?
+            // exactly in the default mode, with the base's per-round
+            // upper bounds in screened mode.
+            scored.clear();
+            let round_timer = traced.then(|| route_trace::timer(Metric::SteinerScreenNs));
+            if self.config.screened {
+                self.base.screen_round(g, &td, &pool, &mut scored)?;
             } else {
-                current
-            };
-            let mut scored: Vec<(Weight, NodeId)> = Vec::new();
-            for &t in &pool {
-                if td.index_of(t).is_some() {
-                    continue;
-                }
-                evaluated += 1;
-                let priced = if self.config.screened {
-                    self.base.screen_with(g, &td, Some(t))
-                } else {
-                    self.base.cost_with(g, &td, Some(t))
-                };
-                if let Ok(c) = priced {
-                    if c < reference {
-                        scored.push((c, t));
-                    }
-                }
+                price_below(&pool, current, &mut scored, |t| {
+                    self.base.cost_with(g, &td, Some(t)).ok()
+                });
             }
+            drop(round_timer);
             if scored.is_empty() {
                 break;
             }
             scored.sort();
-            let mut accepted_this_round = 0usize;
+            let first_accepted = steiner_points.len();
             let mut misses = 0usize;
-            for (_, t) in scored {
+            for &(_, t) in &scored {
                 if self
                     .config
                     .max_steiner_points
@@ -222,12 +217,13 @@ impl<H: IteratedBaseInfo> Iterated<H> {
                 // Re-verify against the (possibly grown) set with the exact
                 // cost; the scores were computed before earlier acceptances
                 // this round (and, in screened mode, are only upper bounds).
+                let verify_timer = traced.then(|| route_trace::timer(Metric::SteinerVerifyNs));
                 let c = self.base.cost_with(g, &td, Some(t))?;
+                drop(verify_timer);
                 if c < current {
                     td.push_terminal(g, t)?;
                     steiner_points.push(t);
                     current = c;
-                    accepted_this_round += 1;
                     misses = 0;
                     if !self.config.batched {
                         break;
@@ -239,7 +235,8 @@ impl<H: IteratedBaseInfo> Iterated<H> {
                     }
                 }
             }
-            if accepted_this_round == 0 {
+            let accepted = &steiner_points[first_accepted..];
+            if accepted.is_empty() {
                 break;
             }
             if self
@@ -249,6 +246,7 @@ impl<H: IteratedBaseInfo> Iterated<H> {
             {
                 break;
             }
+            pool.retain(|v| !accepted.contains(v));
         }
         if traced {
             use route_trace::Counter;

@@ -9,12 +9,13 @@
 //!    shortest path, yielding a subgraph `G''`.
 //! 3. Compute `MST(G'')` and delete pendant non-terminal leaves.
 
-use route_graph::mst::{kruskal_subgraph, prim_complete};
-use route_graph::{EdgeId, GraphView, NodeId, TerminalDistances, Weight};
+use route_graph::dsu::UnionFind;
+use route_graph::mst::{prim_complete, ForestEdge, Kruskal};
+use route_graph::{EdgeId, GraphError, GraphView, NodeId, TerminalDistances, Weight};
 
 use crate::heuristic::{
-    construct_via_base, require_connected, HeuristicInfo, IteratedBase, IteratedBaseInfo,
-    SteinerHeuristic,
+    construct_via_base, price_below, require_connected, HeuristicInfo, IteratedBase,
+    IteratedBaseInfo, SteinerHeuristic,
 };
 use crate::{Net, RoutingTree, SteinerError};
 
@@ -80,34 +81,71 @@ impl IteratedBaseInfo for Kmb {
 }
 
 impl<G: GraphView> IteratedBase<G> for Kmb {
-    /// Distance-graph MST cost: an upper bound on the full KMB cost (steps
-    /// 2–3 can only shed weight), computable in `O(k²)` with no path
-    /// expansion.
-    fn screen_with(
+    /// Prices each candidate `t` at the cost of the distance-graph MST of
+    /// `T ∪ {t}`, an upper bound on the full KMB cost (steps 2–3 can only
+    /// shed weight).
+    ///
+    /// MST(`T`) is built once per round. MST(`T ∪ {t}`) uses only its
+    /// `k − 1` edges plus `t`'s `k` star edges, so Kruskal over those
+    /// `2k − 1` edges, in buffers reused across the round, gives the same
+    /// weight as an MST over the complete distance graph of `T ∪ {t}`.
+    fn screen_round(
         &self,
         _g: &G,
         td: &TerminalDistances,
+        pool: &[NodeId],
+        scored: &mut Vec<(Weight, NodeId)>,
+    ) -> Result<(), SteinerError> {
+        require_connected(td, None)?;
+        let k = td.len();
+        let mst = prim_complete(k, |i, j| td.dist(i, j)).ok_or_else(|| unspannable(td))?;
+        let mut tree: Vec<(Weight, usize, usize)> = mst
+            .weights
+            .iter()
+            .zip(&mst.edges)
+            .map(|(&w, &(i, j))| (w, i, j))
+            .collect();
+        tree.sort_unstable();
+        let mut star: Vec<(Weight, usize, usize)> = Vec::with_capacity(k);
+        let mut uf = UnionFind::new(k + 1);
+        price_below(pool, mst.cost, scored, |t| {
+            // `t` joins as node `k`, and is left unscored when the source
+            // cannot reach it, like an unspannable T ∪ {t}.
+            td.dist_to_node(0, t)?;
+            star.clear();
+            star.extend((0..k).filter_map(|i| Some((td.dist_to_node(i, t)?, i, k))));
+            star.sort_unstable();
+            // Kruskal over both ascending lists, merged, until all k + 1
+            // nodes are joined.
+            uf.reset(k + 1);
+            let (mut a, mut b) = (tree.iter().peekable(), star.iter().peekable());
+            let (mut cost, mut joined) = (Weight::ZERO, 0);
+            while joined < k {
+                let next = match (a.peek(), b.peek()) {
+                    (Some(x), Some(y)) if x.0 <= y.0 => a.next(),
+                    (_, Some(_)) => b.next(),
+                    _ => a.next(),
+                };
+                let &(w, i, j) = next.expect("MST(T) and the star span T ∪ {t}");
+                if uf.union(i, j) {
+                    cost = cost.saturating_add(w);
+                    joined += 1;
+                }
+            }
+            Some(cost)
+        });
+        Ok(())
+    }
+
+    /// The exact KMB cost: the weight of the tree
+    /// [`build_with`](Kmb::build_with) builds, without building it.
+    fn cost_with(
+        &self,
+        g: &G,
+        td: &TerminalDistances,
         candidate: Option<NodeId>,
     ) -> Result<Weight, SteinerError> {
-        require_connected(td, candidate)?;
-        let base = td.len();
-        let k = base + usize::from(candidate.is_some());
-        let dist = |i: usize, j: usize| -> Option<Weight> {
-            match (i == base, j == base) {
-                (false, false) => td.dist(i, j),
-                (true, false) => td.dist_to_node(j, candidate.expect("index implies candidate")),
-                (false, true) => td.dist_to_node(i, candidate.expect("index implies candidate")),
-                (true, true) => unreachable!("prim never queries the diagonal"),
-            }
-        };
-        prim_complete(k, dist)
-            .map(|mst| mst.cost)
-            .ok_or_else(|| {
-                SteinerError::Graph(route_graph::GraphError::Disconnected {
-                    from: td.terminals()[0],
-                    to: td.terminals()[0],
-                })
-            })
+        Ok(kmb_edges(g, td, candidate)?.iter().map(|f| f.weight).sum())
     }
 
     fn build_with(
@@ -116,50 +154,128 @@ impl<G: GraphView> IteratedBase<G> for Kmb {
         td: &TerminalDistances,
         candidate: Option<NodeId>,
     ) -> Result<RoutingTree, SteinerError> {
-        require_connected(td, candidate)?;
-        if route_trace::enabled() {
-            route_trace::count(route_trace::Counter::KmbConstructions, 1);
-        }
-        let base = td.len();
-        let k = base + usize::from(candidate.is_some());
-        // Step 1+2: MST over the (extended) distance graph.
-        let dist = |i: usize, j: usize| -> Option<Weight> {
-            match (i == base, j == base) {
-                (false, false) => td.dist(i, j),
-                (true, false) => td.dist_to_node(j, candidate.expect("index implies candidate")),
-                (false, true) => td.dist_to_node(i, candidate.expect("index implies candidate")),
-                (true, true) => unreachable!("prim never queries the diagonal"),
-            }
-        };
-        let mst = prim_complete(k, dist).ok_or_else(|| {
-            // require_connected passed, so this cannot happen; keep a
-            // meaningful error anyway.
-            SteinerError::Graph(route_graph::GraphError::Disconnected {
-                from: td.terminals()[0],
-                to: td.terminals()[0],
-            })
-        })?;
-        // Expand distance-graph edges into concrete shortest paths.
-        let mut edges: Vec<EdgeId> = Vec::new();
-        for &(i, j) in &mst.edges {
-            let path = if j == base {
-                td.path_to_node(i, candidate.expect("index implies candidate"))?
-            } else if i == base {
-                td.path_to_node(j, candidate.expect("index implies candidate"))?
-            } else {
-                td.path(i, j)?
-            };
-            edges.extend_from_slice(path.edges());
-        }
-        // Step 3: MST of the expanded subgraph, then prune.
-        let sub = kruskal_subgraph(g, &edges);
-        let tree = RoutingTree::from_edges(g, sub.edges)?;
-        let mut keep: Vec<NodeId> = td.terminals().to_vec();
-        if let Some(c) = candidate {
-            keep.push(c);
-        }
-        tree.pruned_to(g, &keep)
+        let edges = kmb_edges(g, td, candidate)?;
+        RoutingTree::from_edges(g, edges.iter().map(|f| f.edge).collect())
     }
+}
+
+fn unspannable(td: &TerminalDistances) -> SteinerError {
+    SteinerError::Graph(GraphError::Disconnected {
+        from: td.terminals()[0],
+        to: td.terminals()[0],
+    })
+}
+
+/// KMB steps 1–3 over `T ∪ {candidate}`: the distance-graph MST, its
+/// expansion into shortest-path edges (read straight off each run's
+/// parent chain), Kruskal over the deduplicated expansion, and the
+/// pruning of non-member leaves. Returns the kept edges in Kruskal's
+/// pick order.
+///
+/// # Errors
+///
+/// [`GraphError::Disconnected`] if `T ∪ {candidate}` cannot be spanned.
+fn kmb_edges<G: GraphView>(
+    g: &G,
+    td: &TerminalDistances,
+    candidate: Option<NodeId>,
+) -> Result<Vec<ForestEdge>, SteinerError> {
+    require_connected(td, candidate)?;
+    if route_trace::enabled() {
+        route_trace::count(route_trace::Counter::KmbConstructions, 1);
+    }
+    let base = td.len();
+    let k = base + usize::from(candidate.is_some());
+    let node = |i: usize| {
+        if i == base {
+            candidate.expect("index implies candidate")
+        } else {
+            td.terminals()[i]
+        }
+    };
+    // Step 1+2: MST over the (extended) distance graph.
+    let dist = |i: usize, j: usize| -> Option<Weight> {
+        match (i == base, j == base) {
+            (false, false) => td.dist(i, j),
+            (true, false) => td.dist_to_node(j, node(i)),
+            (false, true) => td.dist_to_node(i, node(j)),
+            (true, true) => unreachable!("prim never queries the diagonal"),
+        }
+    };
+    // require_connected passed, so the MST exists; keep a meaningful
+    // error anyway.
+    let mst = prim_complete(k, dist).ok_or_else(|| unspannable(td))?;
+    // Expand distance-graph edges into the edges of concrete shortest
+    // paths. Each MST edge is `(i, j)` with `i < j`, so `i` is a terminal
+    // whose run is walked back from `j`.
+    let mut expansion: Vec<(Weight, EdgeId)> = Vec::new();
+    for &(i, j) in &mst.edges {
+        let (sp, target) = (td.shortest_paths(i), node(j));
+        if sp.dist(target).is_none() {
+            return Err(GraphError::Disconnected {
+                from: sp.source(),
+                to: target,
+            }
+            .into());
+        }
+        let mut cur = target;
+        while let Some((parent, e)) = sp.parent(cur) {
+            if g.is_edge_usable(e) {
+                expansion.push((g.weight(e)?, e));
+            }
+            cur = parent;
+        }
+    }
+    // Step 3: MST of the expanded subgraph, then prune non-member leaves.
+    let mut forest = Kruskal::default();
+    forest.run(g, &mut expansion);
+    if !forest.is_connected() {
+        return Err(SteinerError::ForestNotTree);
+    }
+    Ok(prune_to_members(&forest, (0..k).map(node)))
+}
+
+/// The edges of the tree `forest` left after repeatedly deleting leaves
+/// that are not `members`, in pick order.
+fn prune_to_members(forest: &Kruskal, members: impl Iterator<Item = NodeId>) -> Vec<ForestEdge> {
+    let n = forest.node_count();
+    let chosen = forest.chosen();
+    let mut degree = vec![0u32; n];
+    // XOR of the indices of each node's remaining chosen edges: once a
+    // node is down to one edge, this is that edge.
+    let mut link = vec![0usize; n];
+    for (idx, f) in chosen.iter().enumerate() {
+        for v in [f.ends.0, f.ends.1] {
+            degree[v] += 1;
+            link[v] ^= idx;
+        }
+    }
+    let mut member = vec![false; n];
+    for c in members.filter_map(|v| forest.index_of(v)) {
+        member[c] = true;
+    }
+    let mut kept = vec![true; chosen.len()];
+    let mut leaves: Vec<usize> = (0..n).filter(|&v| degree[v] == 1 && !member[v]).collect();
+    while let Some(v) = leaves.pop() {
+        if degree[v] != 1 {
+            continue;
+        }
+        let idx = link[v];
+        kept[idx] = false;
+        degree[v] = 0;
+        let (a, b) = chosen[idx].ends;
+        let u = if a == v { b } else { a };
+        degree[u] -= 1;
+        link[u] ^= idx;
+        if degree[u] == 1 && !member[u] {
+            leaves.push(u);
+        }
+    }
+    chosen
+        .iter()
+        .zip(kept)
+        .filter_map(|(&f, keep)| keep.then_some(f))
+        .collect()
 }
 
 #[cfg(test)]
@@ -267,6 +383,32 @@ mod tests {
         let with_hub = Kmb::new().build_with(&g, &td, Some(hub)).unwrap();
         assert!(with_hub.cost() <= plain.cost());
         assert_eq!(with_hub.cost(), Weight::from_units(6));
+    }
+
+    #[test]
+    fn pruning_matches_routing_tree_pruning() {
+        use route_graph::rng::{Rng, SliceRandom, SplitMix64};
+        let mut rng = SplitMix64::seed_from_u64(7);
+        for trial in 0..100 {
+            let n = rng.gen_range(2..16usize);
+            let g = route_graph::random::random_connected_graph(n, 2 * n, 0..4, &mut rng).unwrap();
+            let mut edges: Vec<(Weight, EdgeId)> =
+                g.edge_ids().map(|e| (g.weight(e).unwrap(), e)).collect();
+            let mut forest = Kruskal::default();
+            forest.run(&g, &mut edges);
+            let mut members: Vec<NodeId> = g.node_ids().collect();
+            members.shuffle(&mut rng);
+            members.truncate(rng.gen_range(1..=n));
+            let kept: Vec<EdgeId> = prune_to_members(&forest, members.iter().copied())
+                .iter()
+                .map(|f| f.edge)
+                .collect();
+            let tree =
+                RoutingTree::from_edges(&g, forest.chosen().iter().map(|f| f.edge).collect())
+                    .unwrap();
+            let expected = tree.pruned_to(&g, &members).unwrap();
+            assert_eq!(kept, expected.edges(), "trial {trial}");
+        }
     }
 
     #[test]

@@ -89,34 +89,33 @@ fn pruning_is_idempotent() {
     }
 }
 
-/// The IteratedBase contract: the screening bound really is an upper
-/// bound of the exact cost, for both KMB and DOM.
+/// The IteratedBase contract: a screened round's price really is an upper
+/// bound of the exact cost, for every candidate it scores (KMB), and is
+/// the exact cost itself for DOM.
 #[test]
 fn screening_upper_bounds_exact_costs() {
     for seed in 0..CASES {
         let mut rng = SplitMix64::seed_from_u64(seed);
         let grid = GridGraph::new(7, 7, Weight::UNIT).unwrap();
-        let pins = random_net(grid.graph(), 5, &mut rng).unwrap();
-        let td = TerminalDistances::compute(grid.graph(), &pins).unwrap();
-        let candidate = loop {
-            let v = route_graph::NodeId::from_index(rng.gen_range(0..49usize));
-            if td.index_of(v).is_none() {
-                break v;
-            }
-        };
-        for candidate in [None, Some(candidate)] {
-            let kmb = Kmb::new();
+        let g = grid.graph();
+        let pins = random_net(g, 5, &mut rng).unwrap();
+        let td = TerminalDistances::compute(g, &pins).unwrap();
+        let pool: Vec<_> = g.node_ids().filter(|&v| td.index_of(v).is_none()).collect();
+        let mut scored = Vec::new();
+        Kmb::new().screen_round(g, &td, &pool, &mut scored).unwrap();
+        for &(price, t) in &scored {
             assert!(
-                kmb.cost_with(grid.graph(), &td, candidate).unwrap()
-                    <= kmb.screen_with(grid.graph(), &td, candidate).unwrap(),
-                "seed {seed}"
+                Kmb::new().cost_with(g, &td, Some(t)).unwrap() <= price,
+                "seed {seed}: KMB candidate {t:?}"
             );
-            let dom = Dom::new();
-            // DOM's screen defaults to its cheap exact cost — equal.
+        }
+        scored.clear();
+        Dom::new().screen_round(g, &td, &pool, &mut scored).unwrap();
+        for &(price, t) in &scored {
             assert_eq!(
-                dom.cost_with(grid.graph(), &td, candidate).unwrap(),
-                dom.screen_with(grid.graph(), &td, candidate).unwrap(),
-                "seed {seed}"
+                Dom::new().cost_with(g, &td, Some(t)).unwrap(),
+                price,
+                "seed {seed}: DOM candidate {t:?}"
             );
         }
     }

@@ -565,39 +565,39 @@ fn route_all(
         let mut handles = Vec::with_capacity(workers);
         for (k, net_scratch) in scratch.iter_mut().enumerate().take(workers) {
             handles.push(scope.spawn(move || {
-                route_trace::adopt_parent(parent_span);
-                let worker_started = if route_trace::enabled() {
-                    // lint: allow(determinism-wall-clock): gated on route_trace::enabled(); feeds the span timeline only, never routing state
-                    Some(std::time::Instant::now())
-                } else {
-                    None
-                };
-                let mut routed = Vec::new();
-                for ni in (k..order.len()).step_by(workers).map(|j| order[j]) {
-                    let tree = route_net_excluded(
-                        router,
-                        priced,
-                        circuit,
-                        ni,
-                        critical,
-                        prev_of(ni),
-                        ctx,
-                        net_scratch,
-                    );
-                    routed.push((ni, tree));
-                }
-                if let Some(started) = worker_started {
-                    route_trace::record_timeline(route_trace::TimelineRecord {
-                        pass: iteration,
-                        worker: k,
-                        role: "pf-worker",
-                        busy_ns: u64::try_from(started.elapsed().as_nanos())
-                            .unwrap_or(u64::MAX),
-                        nets: routed.len(),
-                    });
-                }
-                route_trace::flush_thread();
-                routed
+                route_trace::worker(parent_span, || {
+                    let worker_started = if route_trace::enabled() {
+                        // lint: allow(determinism-wall-clock): gated on route_trace::enabled(); feeds the span timeline only, never routing state
+                        Some(std::time::Instant::now())
+                    } else {
+                        None
+                    };
+                    let mut routed = Vec::new();
+                    for ni in (k..order.len()).step_by(workers).map(|j| order[j]) {
+                        let tree = route_net_excluded(
+                            router,
+                            priced,
+                            circuit,
+                            ni,
+                            critical,
+                            prev_of(ni),
+                            ctx,
+                            net_scratch,
+                        );
+                        routed.push((ni, tree));
+                    }
+                    if let Some(started) = worker_started {
+                        route_trace::record_timeline(route_trace::TimelineRecord {
+                            pass: iteration,
+                            worker: k,
+                            role: "pf-worker",
+                            busy_ns: u64::try_from(started.elapsed().as_nanos())
+                                .unwrap_or(u64::MAX),
+                            nets: routed.len(),
+                        });
+                    }
+                    routed
+                })
             }));
         }
         for handle in handles {

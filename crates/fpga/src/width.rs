@@ -198,16 +198,13 @@ pub fn minimum_channel_width_parallel(
         let mut results: Vec<Option<Result<RouteOutcome, FpgaError>>> =
             (0..widths.len()).map(|_| None).collect();
         // Probe workers adopt the search span so their attempt spans (and
-        // everything beneath) nest correctly; their trace buffers merge
-        // into the collector when the wave's scope joins.
+        // everything beneath) nest correctly, and merge their trace
+        // buffers into the collector before the wave's scope joins.
         let parent_span = route_trace::current_span();
         std::thread::scope(|scope| {
             let probe = &probe;
             for (slot, &w) in results.iter_mut().zip(&widths) {
-                scope.spawn(move || {
-                    route_trace::adopt_parent(parent_span);
-                    *slot = Some(probe(w));
-                });
+                scope.spawn(move || route_trace::worker(parent_span, || *slot = Some(probe(w))));
             }
         });
         for (result, &w) in results.into_iter().zip(&widths) {

@@ -18,7 +18,7 @@
 /// assert!(!uf.connected(0, 2));
 /// assert_eq!(uf.set_count(), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct UnionFind {
     parent: Vec<usize>,
     rank: Vec<u8>,
@@ -34,6 +34,15 @@ impl UnionFind {
             rank: vec![0; n],
             sets: n,
         }
+    }
+
+    /// Starts over with `n` singleton sets, reusing the allocated buffers.
+    pub fn reset(&mut self, n: usize) {
+        self.parent.clear();
+        self.parent.extend(0..n);
+        self.rank.clear();
+        self.rank.resize(n, 0);
+        self.sets = n;
     }
 
     /// Number of elements.
@@ -146,6 +155,18 @@ mod tests {
         for i in 0..10 {
             assert!(uf.connected(0, i));
         }
+    }
+
+    #[test]
+    fn reset_starts_over_with_singletons() {
+        let mut uf = UnionFind::new(4);
+        uf.union(0, 1);
+        uf.union(2, 3);
+        uf.reset(3);
+        assert_eq!(uf.len(), 3);
+        assert_eq!(uf.set_count(), 3);
+        assert!(!uf.connected(0, 1));
+        assert!(uf.union(1, 2));
     }
 
     #[test]

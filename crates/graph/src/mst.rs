@@ -14,8 +14,10 @@ use crate::{EdgeId, NodeId, Weight};
 /// [`prim_complete`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompleteMst {
-    /// Tree edges as index pairs `(i, j)` with `i, j < n`.
+    /// Tree edges as index pairs `(i, j)` with `i < j < n`.
     pub edges: Vec<(usize, usize)>,
+    /// `weights[e]` is the weight of `edges[e]`.
+    pub weights: Vec<Weight>,
     /// Sum of the tree's edge weights.
     pub cost: Weight,
 }
@@ -49,12 +51,14 @@ pub fn prim_complete(
     if n == 0 {
         return Some(CompleteMst {
             edges: Vec::new(),
+            weights: Vec::new(),
             cost: Weight::ZERO,
         });
     }
     let mut in_tree = vec![false; n];
     let mut best: Vec<Option<(Weight, usize)>> = vec![None; n];
     let mut edges = Vec::with_capacity(n.saturating_sub(1));
+    let mut weights = Vec::with_capacity(n.saturating_sub(1));
     let mut cost = Weight::ZERO;
     in_tree[0] = true;
     for j in 1..n {
@@ -76,6 +80,7 @@ pub fn prim_complete(
         let (_, parent) = best[j].expect("picked node has a best edge");
         in_tree[j] = true;
         edges.push((parent.min(j), parent.max(j)));
+        weights.push(w);
         cost = cost.saturating_add(w);
         for (k, entry) in best.iter_mut().enumerate() {
             if in_tree[k] {
@@ -88,7 +93,11 @@ pub fn prim_complete(
             }
         }
     }
-    Some(CompleteMst { edges, cost })
+    Some(CompleteMst {
+        edges,
+        weights,
+        cost,
+    })
 }
 
 /// A minimum spanning forest of a subgraph, as produced by
@@ -109,7 +118,7 @@ pub struct SubgraphMst {
 ///
 /// Duplicate edge ids are tolerated and used once. Unusable (removed) edges
 /// are skipped. The node set of the subgraph is exactly the set of endpoints
-/// of usable input edges.
+/// of usable input edges. Work is proportional to the input, not to `g`.
 ///
 /// # Example
 ///
@@ -131,46 +140,112 @@ pub struct SubgraphMst {
 /// ```
 #[must_use]
 pub fn kruskal_subgraph<G: GraphView>(g: &G, edges: &[EdgeId]) -> SubgraphMst {
-    let mut seen_edge = vec![false; g.edge_count()];
-    let mut sorted: Vec<(Weight, EdgeId)> = Vec::with_capacity(edges.len());
-    let mut touched: Vec<NodeId> = Vec::new();
-    let mut node_seen = vec![false; g.node_count()];
-    for &e in edges {
-        if e.index() >= seen_edge.len() || seen_edge[e.index()] || !g.is_edge_usable(e) {
-            continue;
+    let mut weighted: Vec<(Weight, EdgeId)> = edges
+        .iter()
+        .filter(|&&e| g.is_edge_usable(e))
+        .map(|&e| (g.weight(e).expect("usable edge has weight"), e))
+        .collect();
+    let mut forest = Kruskal::default();
+    forest.run(g, &mut weighted);
+    SubgraphMst {
+        edges: forest.chosen().iter().map(|f| f.edge).collect(),
+        cost: forest.cost(),
+        connected: forest.is_connected(),
+    }
+}
+
+/// One edge of a [`Kruskal`] forest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ForestEdge {
+    /// The edge's weight.
+    pub weight: Weight,
+    /// The edge.
+    pub edge: EdgeId,
+    /// Compact indices of its endpoints (see [`Kruskal::index_of`]).
+    pub ends: (usize, usize),
+}
+
+/// Kruskal's minimum spanning forest over a weighted edge list, with
+/// buffers that are reused from one [`run`](Kruskal::run) to the next.
+///
+/// Nodes get compact indices `0..node_count()` by sorting the input's
+/// endpoints, so a run costs `O(m log m)` for `m` input edges whatever
+/// the size of the graph.
+#[derive(Debug, Clone, Default)]
+pub struct Kruskal {
+    /// Distinct endpoints of the last input, ascending; a node's compact
+    /// index is its position here.
+    nodes: Vec<NodeId>,
+    /// Chosen edges, in the order Kruskal picked them.
+    chosen: Vec<ForestEdge>,
+    uf: UnionFind,
+}
+
+impl Kruskal {
+    /// Computes the minimum spanning forest of `edges`, which it sorts
+    /// and dedups in place. Ties between equal weights go to the lower
+    /// edge id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge is not usable in `g`.
+    pub fn run<G: GraphView>(&mut self, g: &G, edges: &mut Vec<(Weight, EdgeId)>) {
+        edges.sort_unstable();
+        edges.dedup();
+        let endpoints = |e: EdgeId| g.endpoints(e).expect("usable edge has endpoints");
+        self.nodes.clear();
+        for &(_, e) in edges.iter() {
+            let (a, b) = endpoints(e);
+            self.nodes.extend([a, b]);
         }
-        seen_edge[e.index()] = true;
-        let w = g.weight(e).expect("usable edge has weight");
-        sorted.push((w, e));
-        let (a, b) = g.endpoints(e).expect("usable edge has endpoints");
-        for v in [a, b] {
-            if !node_seen[v.index()] {
-                node_seen[v.index()] = true;
-                touched.push(v);
+        self.nodes.sort_unstable();
+        self.nodes.dedup();
+        self.uf.reset(self.nodes.len());
+        self.chosen.clear();
+        for &(weight, edge) in edges.iter() {
+            let (a, b) = endpoints(edge);
+            let ends = (self.compact(a), self.compact(b));
+            if self.uf.union(ends.0, ends.1) {
+                self.chosen.push(ForestEdge { weight, edge, ends });
             }
         }
     }
-    sorted.sort();
-    // Compact node indices for the DSU.
-    let mut compact = vec![usize::MAX; g.node_count()];
-    for (i, &v) in touched.iter().enumerate() {
-        compact[v.index()] = i;
+
+    fn compact(&self, v: NodeId) -> usize {
+        self.nodes
+            .binary_search(&v)
+            .expect("every endpoint was indexed")
     }
-    let mut uf = UnionFind::new(touched.len());
-    let mut chosen = Vec::new();
-    let mut cost = Weight::ZERO;
-    for (w, e) in sorted {
-        let (a, b) = g.endpoints(e).expect("usable edge has endpoints");
-        if uf.union(compact[a.index()], compact[b.index()]) {
-            chosen.push(e);
-            cost = cost.saturating_add(w);
-        }
+
+    /// The forest's edges, in the order Kruskal picked them (ascending
+    /// `(weight, edge)`).
+    #[must_use]
+    pub fn chosen(&self) -> &[ForestEdge] {
+        &self.chosen
     }
-    let connected = uf.set_count() <= 1;
-    SubgraphMst {
-        edges: chosen,
-        cost,
-        connected,
+
+    /// Number of nodes touched by the last input.
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Compact index of `v`, if the last input touched it.
+    #[must_use]
+    pub fn index_of(&self, v: NodeId) -> Option<usize> {
+        self.nodes.binary_search(&v).ok()
+    }
+
+    /// `true` if the forest is a single tree (or empty).
+    #[must_use]
+    pub fn is_connected(&self) -> bool {
+        self.uf.set_count() <= 1
+    }
+
+    /// Sum of the forest's edge weights, saturating at [`Weight::MAX`].
+    #[must_use]
+    pub fn cost(&self) -> Weight {
+        self.chosen.iter().map(|f| f.weight).sum()
     }
 }
 

@@ -192,9 +192,9 @@ impl LocalBuf {
 }
 
 impl Drop for LocalBuf {
-    /// Scoped worker threads exit when their scope joins — at the end
-    /// of a PathFinder route phase or a width-probe wave — and this drop
-    /// is what merges their buffers into the shared collector.
+    /// A thread that never flushed merges its buffer at exit. Scoped
+    /// workers must not rely on this: the destructor can run after their
+    /// scope has joined, so they flush through [`worker`] instead.
     fn drop(&mut self) {
         self.flush();
     }
@@ -327,7 +327,7 @@ pub fn span(kind: SpanKind, label: &'static str, index: u64) -> SpanGuard {
 }
 
 /// The innermost span currently open on this thread (if any), for handing
-/// to [`adopt_parent`] on freshly spawned worker threads.
+/// to [`worker`] on freshly spawned worker threads.
 #[must_use]
 pub fn current_span() -> Option<SpanId> {
     if !enabled() {
@@ -343,10 +343,9 @@ pub fn current_span() -> Option<SpanId> {
 }
 
 /// Declares `parent` the enclosing span for roots recorded on *this*
-/// thread. Call first thing in a worker closure, passing the spawning
-/// thread's [`current_span`], so worker-side net spans nest under the
-/// pass span instead of floating free.
-pub fn adopt_parent(parent: Option<SpanId>) {
+/// thread, so worker-side net spans nest under the pass span instead of
+/// floating free.
+fn adopt_parent(parent: Option<SpanId>) {
     if !enabled() {
         return;
     }
@@ -376,11 +375,50 @@ pub fn record_snapshot(snapshot: CongestionSnapshot) {
 
 /// Flushes the current thread's buffer into the shared collector.
 ///
-/// Worker threads flush automatically at exit; long-lived threads that
-/// outlive a routing call can flush explicitly so a subsequent
+/// [`worker`] bodies flush on return; long-lived threads that outlive a
+/// routing call can flush explicitly so a subsequent
 /// [`Collector::finish`] on another thread sees their events.
 pub fn flush_thread() {
     LOCAL.with(|cell| cell.borrow_mut().flush());
+}
+
+/// Runs `body` as a worker of the span `parent` (the spawning thread's
+/// [`current_span`]): roots recorded on this thread nest under `parent`,
+/// and the thread's buffer merges into the collector before `worker`
+/// returns, on unwind too. Call it as the whole body of a scoped spawn,
+/// so everything the worker recorded is merged by the time its scope
+/// joins; a thread-local destructor can run after the join.
+pub fn worker<R>(parent: Option<SpanId>, body: impl FnOnce() -> R) -> R {
+    struct FlushOnDrop;
+    impl Drop for FlushOnDrop {
+        fn drop(&mut self) {
+            flush_thread();
+        }
+    }
+    adopt_parent(parent);
+    let _flush = FlushOnDrop;
+    body()
+}
+
+/// Starts timing one sample of `metric`; the returned guard records the
+/// elapsed wall-clock when it drops. Inert when no collector is
+/// installed.
+#[must_use = "the sample is recorded when the guard drops"]
+pub fn timer(metric: Metric) -> MetricTimer {
+    MetricTimer(enabled().then(|| (metric, Instant::now())))
+}
+
+/// Guard returned by [`timer`].
+#[must_use = "dropping the guard records the sample"]
+pub struct MetricTimer(Option<(Metric, Instant)>);
+
+impl Drop for MetricTimer {
+    fn drop(&mut self) {
+        if let Some((metric, started)) = self.0.take() {
+            let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            record_duration(metric, nanos);
+        }
+    }
 }
 
 fn elapsed_ns(epoch: Instant) -> u64 {
@@ -668,37 +706,72 @@ mod tests {
     }
 
     #[test]
-    fn worker_threads_merge_at_exit_and_adopt_parents() {
+    fn worker_threads_merge_at_the_join_and_adopt_parents() {
+        let _gate = serial();
+        // Repeated, because a merge that races the join only loses events
+        // on some runs.
+        for cycle in 0..200 {
+            let collector = Collector::install();
+            let pass = span(SpanKind::Pass, "pass", 1);
+            let parent = pass.id();
+            std::thread::scope(|scope| {
+                for w in 0..4u64 {
+                    let parent = current_span();
+                    scope.spawn(move || {
+                        worker(parent, || {
+                            let _net = span(SpanKind::Net, "net", w);
+                            count(Counter::NetsRouted, 1);
+                            record_duration(Metric::NetRouteNs, 10);
+                        });
+                    });
+                }
+            });
+            drop(pass);
+            let trace = collector.finish();
+            assert_eq!(trace.counters.get(Counter::NetsRouted), 4, "cycle {cycle}");
+            assert_eq!(trace.metrics.get(Metric::NetRouteNs).count(), 4, "cycle {cycle}");
+            let nets: Vec<_> = trace
+                .spans
+                .iter()
+                .filter(|s| s.kind == SpanKind::Net)
+                .collect();
+            assert_eq!(nets.len(), 4, "cycle {cycle}");
+            for net in nets {
+                assert_eq!(net.parent, parent, "cycle {cycle}");
+            }
+            // 1 pass + 4 nets, each from a distinct worker thread.
+            let threads: std::collections::HashSet<u64> =
+                trace.spans.iter().map(|s| s.thread).collect();
+            assert!(threads.len() >= 2, "cycle {cycle}");
+        }
+    }
+
+    #[test]
+    fn worker_flushes_when_its_body_panics() {
         let _gate = serial();
         let collector = Collector::install();
-        let pass = span(SpanKind::Pass, "pass", 1);
-        let parent = pass.id();
         std::thread::scope(|scope| {
-            for worker in 0..4u64 {
-                let parent = current_span();
-                scope.spawn(move || {
-                    adopt_parent(parent);
-                    let _net = span(SpanKind::Net, "net", worker);
+            let handle = scope.spawn(|| {
+                worker(None, || {
                     count(Counter::NetsRouted, 1);
-                });
-            }
+                    panic!("worker body failed");
+                })
+            });
+            assert!(handle.join().is_err());
         });
-        drop(pass);
         let trace = collector.finish();
-        assert_eq!(trace.counters.get(Counter::NetsRouted), 4);
-        let nets: Vec<_> = trace
-            .spans
-            .iter()
-            .filter(|s| s.kind == SpanKind::Net)
-            .collect();
-        assert_eq!(nets.len(), 4);
-        for net in nets {
-            assert_eq!(net.parent, parent);
-        }
-        // 1 pass + 4 nets, each from a distinct worker thread.
-        let threads: std::collections::HashSet<u64> =
-            trace.spans.iter().map(|s| s.thread).collect();
-        assert!(threads.len() >= 2);
+        assert_eq!(trace.counters.get(Counter::NetsRouted), 1);
+    }
+
+    #[test]
+    fn timer_records_one_sample_only_while_enabled() {
+        let _gate = serial();
+        drop(timer(Metric::SteinerVerifyNs));
+        let collector = Collector::install();
+        drop(timer(Metric::SteinerVerifyNs));
+        let trace = collector.finish();
+        assert_eq!(trace.metrics.get(Metric::SteinerVerifyNs).count(), 1);
+        assert_eq!(trace.metrics.get(Metric::SteinerScreenNs).count(), 0);
     }
 
     #[test]

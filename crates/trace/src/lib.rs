@@ -32,8 +32,9 @@
 //! load; instrumented hot loops keep local tallies and flush once, so
 //! routing with tracing disabled measures within noise of untraced code.
 //! With a collector installed, events buffer in thread-local storage
-//! ([`flush_thread`] / thread exit merges them), so worker threads never
-//! contend on a shared lock per event.
+//! (merged by [`flush_thread`], which [`worker`] calls before a scoped
+//! worker returns), so worker threads never contend on a shared lock per
+//! event.
 //!
 //! # Usage
 //!
@@ -66,8 +67,9 @@ mod sink;
 mod span;
 
 pub use collector::{
-    adopt_parent, count, current_span, enabled, flush_thread, record_convergence, record_duration,
-    record_snapshot, record_timeline, set_gauge, span, Collector, SpanGuard,
+    count, current_span, enabled, flush_thread, record_convergence, record_duration,
+    record_snapshot, record_timeline, set_gauge, span, timer, worker, Collector, MetricTimer,
+    SpanGuard,
 };
 pub use congestion::CongestionSnapshot;
 pub use counter::{Counter, CounterSet};

@@ -32,16 +32,23 @@ pub enum Metric {
     /// Wall-clock of one shortest-path kernel query (guided or plain,
     /// including scratch-arena `minpath` queries).
     KernelQueryNs,
+    /// Wall-clock of one candidate-pricing round of the iterated Steiner
+    /// template: the whole pool priced against one terminal set.
+    SteinerScreenNs,
+    /// Wall-clock of one exact re-check of a scored Steiner candidate.
+    SteinerVerifyNs,
 }
 
 impl Metric {
     /// Every variant, in declaration (= discriminant) order.
-    pub const ALL: [Metric; 5] = [
+    pub const ALL: [Metric; 7] = [
         Metric::NetRouteNs,
         Metric::DijkstraRunNs,
         Metric::CommitApplyNs,
         Metric::PfIterationNs,
         Metric::KernelQueryNs,
+        Metric::SteinerScreenNs,
+        Metric::SteinerVerifyNs,
     ];
 
     /// Stable snake_case name used in JSONL records and reports.
@@ -53,6 +60,8 @@ impl Metric {
             Metric::CommitApplyNs => "commit_apply_ns",
             Metric::PfIterationNs => "pf_iteration_ns",
             Metric::KernelQueryNs => "kernel_query_ns",
+            Metric::SteinerScreenNs => "steiner_screen_ns",
+            Metric::SteinerVerifyNs => "steiner_verify_ns",
         }
     }
 }
