@@ -143,9 +143,9 @@ echo "==> kernel bench + bench-diff perf gate (hard fail, retried)"
 # medians on this shared container can transiently blow out several
 # hundred percent when a CPU slice lands mid-bench, so the gate is
 # hard but retried: a transient spike passes on a later attempt, a
-# real regression fails all three. The 60% threshold absorbs steady
-# cross-session drift while still catching integer-factor slowdowns;
-# the bench's own A*+CSR >= 1.3x assertion is retried with it.
+# real regression fails all three. The 60% threshold on every `*_us`
+# field (seed, csr, scratch_minpath) absorbs steady cross-session drift
+# while still catching integer-factor slowdowns.
 fresh_kernel="$(mktemp /tmp/fpga_bench_kernel.XXXXXX.json)"
 trap 'rm -f "$trace_file" "$bad_file" "$pf_trace" "$sel_trace" "$idom_trace" "$fresh_bench" "$fresh_kernel"' EXIT
 kernel_gate_ok=0

@@ -144,84 +144,6 @@ pub fn minimum_channel_width(
     }
 }
 
-/// Parallel minimum-width search: probes up to `threads` channel widths
-/// concurrently, in ascending waves, and returns the smallest routable
-/// width — the same answer as [`WidthSearch::Linear`], without assuming
-/// routability is monotone in `W`.
-///
-/// Each probe builds its own [`Device`] and runs `route` on a worker
-/// thread, so `route` must be callable from multiple threads at once
-/// (capture shared state by reference, build per-call state inside).
-/// `threads <= 1` degenerates to the sequential linear scan.
-///
-/// `attempts` counts every probe launched, including widths wider than
-/// the answer that were probed concurrently in the same wave.
-///
-/// # Errors
-///
-/// * [`FpgaError::Unroutable`] if even the widest width in `range` fails;
-/// * [`FpgaError::InvalidArchitecture`] for an empty range;
-/// * any non-unroutability error from `route` (reported from the
-///   narrowest failing width of its wave), immediately.
-pub fn minimum_channel_width_parallel(
-    base: ArchSpec,
-    range: RangeInclusive<usize>,
-    threads: usize,
-    route: impl Fn(&Device) -> Result<RouteOutcome, FpgaError> + Sync,
-) -> Result<WidthOutcome, FpgaError> {
-    let (lo, hi) = (*range.start(), *range.end());
-    if lo == 0 || lo > hi {
-        return Err(FpgaError::InvalidArchitecture(format!(
-            "invalid width range {lo}..={hi}"
-        )));
-    }
-    if threads <= 1 {
-        return minimum_channel_width(base, range, WidthSearch::Linear, |device| route(device));
-    }
-    let _search_span =
-        route_trace::span(route_trace::SpanKind::WidthSearch, "width_search", 0);
-    let probe = |w: usize| -> Result<RouteOutcome, FpgaError> {
-        let _attempt_span =
-            route_trace::span(route_trace::SpanKind::Attempt, "attempt", w as u64);
-        let device = Device::new(base.with_channel_width(w))?;
-        route(&device)
-    };
-    let mut attempts = 0usize;
-    let mut last_err = None;
-    let mut wave_start = lo;
-    loop {
-        // Saturate: `--probe-threads` accepts any usize, and an
-        // overflowing wave end would wrap below `lo`.
-        let wave_end = wave_start.saturating_add(threads - 1).min(hi);
-        let widths: Vec<usize> = (wave_start..=wave_end).collect();
-        attempts += widths.len();
-        let mut results: Vec<Option<Result<RouteOutcome, FpgaError>>> =
-            (0..widths.len()).map(|_| None).collect();
-        // Probe workers adopt the search span so their attempt spans (and
-        // everything beneath) nest correctly, and merge their trace
-        // buffers into the collector before the wave's scope joins.
-        let parent_span = route_trace::current_span();
-        std::thread::scope(|scope| {
-            let probe = &probe;
-            for (slot, &w) in results.iter_mut().zip(&widths) {
-                scope.spawn(move || route_trace::worker(parent_span, || *slot = Some(probe(w))));
-            }
-        });
-        for (result, &w) in results.into_iter().zip(&widths) {
-            match result.expect("every width probed") {
-                Ok(outcome) => return Ok(found(w, outcome, attempts)),
-                Err(e @ FpgaError::Unroutable { .. }) => last_err = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        if wave_end == hi {
-            break;
-        }
-        wave_start = wave_end + 1;
-    }
-    Err(last_err.expect("nonempty range probed at least once"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,69 +229,6 @@ mod tests {
                 Device::new(base.with_channel_width(found.channel_width - 1)).unwrap();
             assert!(Router::new(&device, config).route(&circuit).is_err());
         }
-    }
-
-    #[test]
-    fn parallel_search_agrees_with_linear() {
-        let config = RouterConfig {
-            max_passes: 4,
-            ..RouterConfig::default()
-        };
-        let base = ArchSpec::xilinx4000(2, 2, 1);
-        let linear = minimum_channel_width(
-            base,
-            1..=8,
-            WidthSearch::Linear,
-            route_with(config.clone()),
-        )
-        .unwrap();
-        let circuit = crossing_circuit();
-        for threads in [1usize, 3] {
-            let parallel = minimum_channel_width_parallel(base, 1..=8, threads, |device| {
-                Router::new(device, config.clone()).route(&circuit)
-            })
-            .unwrap();
-            assert_eq!(parallel.channel_width, linear.channel_width, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_search_reports_unroutable_ranges() {
-        let config = RouterConfig {
-            max_passes: 2,
-            ..RouterConfig::default()
-        };
-        let base = ArchSpec::xilinx4000(2, 2, 1);
-        let circuit = crossing_circuit();
-        let result = minimum_channel_width_parallel(base, 1..=1, 4, |device| {
-            Router::new(device, config.clone()).route(&circuit)
-        });
-        assert!(matches!(result, Err(FpgaError::Unroutable { .. })));
-        #[allow(clippy::reversed_empty_ranges)] // the empty range IS the case under test
-        let empty = minimum_channel_width_parallel(base, 3..=2, 4, |_| unreachable!());
-        assert!(matches!(empty, Err(FpgaError::InvalidArchitecture(_))));
-    }
-
-    #[test]
-    fn parallel_search_with_huge_thread_count_probes_only_in_range_widths() {
-        // A wave end of `lo + threads - 1` overflows for threads near
-        // usize::MAX; the search must clamp it to the range instead.
-        let probed = std::sync::Mutex::new(Vec::new());
-        let base = ArchSpec::xilinx4000(2, 2, 1);
-        let result = minimum_channel_width_parallel(base, 3..=5, usize::MAX, |device| {
-            let w = device.arch().channel_width;
-            probed.lock().unwrap().push(w);
-            Err(FpgaError::Unroutable {
-                channel_width: w,
-                passes: 0,
-                failed_net: 0,
-                overcapacity: Vec::new(),
-            })
-        });
-        assert!(matches!(result, Err(FpgaError::Unroutable { .. })));
-        let mut probed = probed.into_inner().unwrap();
-        probed.sort_unstable();
-        assert_eq!(probed, vec![3, 4, 5]);
     }
 
     #[test]

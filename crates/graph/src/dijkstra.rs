@@ -1,35 +1,29 @@
-//! Dijkstra single-source shortest paths, plain and goal-oriented.
+//! Dijkstra single-source shortest paths.
 //!
-//! One generic kernel serves both modes. The heap priority is the tuple
-//! `(dist + h(v), dist)`: under the zero potential that is `(d, d)`, which
-//! compares exactly like the bare distance. Under an admissible consistent
-//! potential the same loop becomes goal-oriented A* — settled distances
-//! are unchanged and, with the canonical parent tie-break below, returned
-//! paths are too (DESIGN.md §5g).
-//!
-//! The frontier is a lazy-deletion binary heap of `(rank, node)` entries
+//! The frontier is a lazy-deletion binary heap of `(dist, node)` entries
 //! over a generation-stamped tentative-distance array: an improvement
 //! pushes a fresh entry instead of decreasing a key in place, and an
 //! entry whose node has already settled is skipped when it pops. Equal
-//! ranks pop in ascending node index. Every per-query buffer lives in a
-//! reusable [`KernelScratch`], so a query allocates nothing beyond the
-//! [`ShortestPaths`] table it returns ([`minpath_with`] not even that).
+//! distances pop in ascending node index, and among equal-cost
+//! predecessors the canonical `(node, edge)` parent rule keeps the
+//! smallest pair, so every tree is a deterministic function of the graph
+//! and its adjacency order (DESIGN.md §5g). Every per-query buffer lives
+//! in a reusable [`KernelScratch`], so a query allocates nothing beyond
+//! the [`ShortestPaths`] table it returns ([`minpath_with`] not even
+//! that).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::lowerbound::{Potential, ZeroPotential};
 use crate::view::GraphView;
 use crate::{EdgeId, GraphError, NodeId, Path, Weight};
 
-/// Heap priority of a frontier node: `(dist ⊕ h(node), dist)`. The second
-/// component makes key ties pop in ascending true distance, which the
-/// identical-paths guarantee of the guided kernel relies on.
-type Rank = (Weight, Weight);
+/// A frontier entry: the tentative distance, then the node index, so
+/// that equal distances pop in ascending node order.
+type Entry = Reverse<(Weight, u32)>;
 
-/// A frontier entry: the rank, then the node index, so that equal ranks
-/// pop in ascending node order.
-type Entry = Reverse<(Rank, u32)>;
+// Every push pays for the entry's size; keep it at two words.
+const _: () = assert!(std::mem::size_of::<Entry>() == 16);
 
 /// The packed `(node, edge)` parent of a source: it has none.
 const NO_PARENT: (u32, u32) = (u32::MAX, u32::MAX);
@@ -85,31 +79,7 @@ impl ShortestPaths {
     /// Returns [`GraphError::NodeOutOfBounds`] or [`GraphError::NodeRemoved`]
     /// if the source is invalid.
     pub fn run<G: GraphView>(g: &G, source: NodeId) -> Result<ShortestPaths, GraphError> {
-        Self::run_in(g, source, None, &ZeroPotential, &mut KernelScratch::new())
-    }
-
-    /// Runs goal-oriented (A*) search from `source`, ordering the frontier
-    /// by `dist + h(v)`. With an admissible consistent potential the
-    /// settled distances — and, for positive edge weights, the returned
-    /// paths — are exactly those of [`run`](ShortestPaths::run).
-    ///
-    /// Without an early exit the guidance only reorders work, so this
-    /// variant pays off through [`run_to_targets_guided`]-style early
-    /// termination; it exists so full-table callers can share one entry
-    /// point when a potential is already in hand.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::NodeOutOfBounds`] or [`GraphError::NodeRemoved`]
-    /// if the source is invalid.
-    ///
-    /// [`run_to_targets_guided`]: ShortestPaths::run_to_targets_guided
-    pub fn run_guided<G: GraphView, P: Potential>(
-        g: &G,
-        source: NodeId,
-        potential: &P,
-    ) -> Result<ShortestPaths, GraphError> {
-        Self::run_in(g, source, None, potential, &mut KernelScratch::new())
+        Self::run_in(g, source, None, &mut KernelScratch::new())
     }
 
     /// Runs Dijkstra from `source`, stopping early once every node in
@@ -124,35 +94,7 @@ impl ShortestPaths {
         source: NodeId,
         targets: &[NodeId],
     ) -> Result<ShortestPaths, GraphError> {
-        Self::run_to_targets_guided(g, source, targets, &ZeroPotential)
-    }
-
-    /// Goal-oriented variant of [`run_to_targets`]: the frontier is ordered
-    /// by `dist + h(v)`, so with a potential built for (a superset of)
-    /// `targets` the search explores a corridor toward them instead of a
-    /// full cost ball. Settled targets carry exactly the plain-Dijkstra
-    /// distances and paths; *unsettled* nodes may differ (the guided run
-    /// settles fewer of them — that is the speedup).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::NodeOutOfBounds`] or [`GraphError::NodeRemoved`]
-    /// if the source is invalid.
-    ///
-    /// [`run_to_targets`]: ShortestPaths::run_to_targets
-    pub fn run_to_targets_guided<G: GraphView, P: Potential>(
-        g: &G,
-        source: NodeId,
-        targets: &[NodeId],
-        potential: &P,
-    ) -> Result<ShortestPaths, GraphError> {
-        Self::run_in(
-            g,
-            source,
-            Some(targets),
-            potential,
-            &mut KernelScratch::new(),
-        )
+        Self::run_in(g, source, Some(targets), &mut KernelScratch::new())
     }
 
     /// Scratch-arena variant of [`run_to_targets`]: reuses the caller's
@@ -172,17 +114,16 @@ impl ShortestPaths {
         targets: &[NodeId],
         scratch: &mut KernelScratch,
     ) -> Result<ShortestPaths, GraphError> {
-        Self::run_in(g, source, Some(targets), &ZeroPotential, scratch)
+        Self::run_in(g, source, Some(targets), scratch)
     }
 
     /// The query every entry point runs: from `source` until each node of
     /// `targets` has settled, or over the whole reachable component when
     /// `targets` is `None`, with all transient state in `scratch`.
-    pub(crate) fn run_in<G: GraphView, P: Potential>(
+    pub(crate) fn run_in<G: GraphView>(
         g: &G,
         source: NodeId,
         targets: Option<&[NodeId]>,
-        potential: &P,
         scratch: &mut KernelScratch,
     ) -> Result<ShortestPaths, GraphError> {
         g.require_live_node(source)?;
@@ -215,7 +156,7 @@ impl ShortestPaths {
             }
             watch && missing == 0
         };
-        search(g, source, potential, state, done, |v, d, p| {
+        search(g, source, state, done, |v, d, p| {
             out.dist[v] = d;
             out.settled[v / 64] |= 1 << (v % 64);
             out.parent[v] = p;
@@ -288,9 +229,10 @@ impl ShortestPaths {
     /// ascending node order.
     ///
     /// Under early termination the set stops at the last target to
-    /// settle: every node ranked strictly below it has settled, but nodes
-    /// *tied* with it (same rank) may or may not have, since the frontier
-    /// breaks rank ties by node index. Callers of a target-restricted run
+    /// settle: every node strictly closer than it has settled, but nodes
+    /// *tied* with it (same distance) may or may not have, since the
+    /// frontier breaks distance ties by node index. Callers of a
+    /// target-restricted run
     /// should therefore read only its targets.
     pub fn reached(&self) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
         (0..self.dist.len())
@@ -383,14 +325,13 @@ impl KernelScratch {
     }
 }
 
-/// Runs one query over `state`: settles nodes from `source` in rank
+/// Runs one query over `state`: settles nodes from `source` in distance
 /// order, reporting each to `settle` as `(node index, distance, packed
 /// parent)`, until `done` returns `true` for a settled node or the
 /// frontier empties.
-fn search<G: GraphView, P: Potential>(
+fn search<G: GraphView>(
     g: &G,
     source: NodeId,
-    potential: &P,
     state: &mut SearchState,
     done: impl FnMut(NodeId) -> bool,
     settle: impl FnMut(usize, Weight, (u32, u32)),
@@ -401,16 +342,15 @@ fn search<G: GraphView, P: Potential>(
     // well-predicted branches there are measurable in the timing
     // bench.
     if route_trace::enabled() {
-        search_impl::<G, P, true>(g, source, potential, state, done, settle);
+        search_impl::<G, true>(g, source, state, done, settle);
     } else {
-        search_impl::<G, P, false>(g, source, potential, state, done, settle);
+        search_impl::<G, false>(g, source, state, done, settle);
     }
 }
 
-fn search_impl<G: GraphView, P: Potential, const TRACED: bool>(
+fn search_impl<G: GraphView, const TRACED: bool>(
     g: &G,
     source: NodeId,
-    potential: &P,
     state: &mut SearchState,
     mut done: impl FnMut(NodeId) -> bool,
     mut settle: impl FnMut(usize, Weight, (u32, u32)),
@@ -434,11 +374,11 @@ fn search_impl<G: GraphView, P: Potential, const TRACED: bool>(
         parent: NO_PARENT,
         dist: Weight::ZERO,
     };
-    heap.push(Reverse(((potential.h(source), Weight::ZERO), source.0)));
+    heap.push(Reverse((Weight::ZERO, source.0)));
     if TRACED {
         pushes += 1;
     }
-    while let Some(Reverse(((_, d), vi))) = heap.pop() {
+    while let Some(Reverse((d, vi))) = heap.pop() {
         let slot = &mut slots[vi as usize];
         if slot.stamp == settled {
             continue; // superseded: a cheaper entry already settled it
@@ -471,10 +411,9 @@ fn search_impl<G: GraphView, P: Potential, const TRACED: bool>(
                     // Canonical tie-break: among equal-cost predecessors,
                     // keep the lexicographically smallest (node, edge)
                     // pair. This makes the chosen parent a function of the
-                    // *set* of achieving predecessors rather than of their
-                    // relaxation order, which is what lets the guided and
-                    // plain kernels return bit-identical paths even though
-                    // they relax in different orders (DESIGN.md §5g).
+                    // *set* of achieving predecessors settled before it,
+                    // not of the order their relaxations arrive in
+                    // (DESIGN.md §5g).
                     slot.parent = via;
                 }
                 if nd >= slot.dist {
@@ -486,7 +425,7 @@ fn search_impl<G: GraphView, P: Potential, const TRACED: bool>(
                 parent: via,
                 dist: nd,
             };
-            heap.push(Reverse(((nd.saturating_add(potential.h(u)), nd), u.0)));
+            heap.push(Reverse((nd, u.0)));
             if TRACED {
                 pushes += 1;
             }
@@ -497,19 +436,6 @@ fn search_impl<G: GraphView, P: Potential, const TRACED: bool>(
         route_trace::count(route_trace::Counter::DijkstraHeapPops, pops);
         route_trace::count(route_trace::Counter::DijkstraRelaxations, relaxations);
         route_trace::count(route_trace::Counter::HeapPushes, pushes);
-        if !potential.is_zero() {
-            // Whatever the early exit left queued is frontier work a
-            // plain run would (mostly) have settled — the A* dividend.
-            // Each still-queued node has exactly one current entry.
-            let pruned = heap
-                .iter()
-                .filter(|&&Reverse(((_, d), u))| {
-                    let slot = slots[u as usize];
-                    slot.stamp == gen && slot.dist == d
-                })
-                .count();
-            route_trace::count(route_trace::Counter::AstarPrunedNodes, pruned as u64);
-        }
         if let Some(started) = started {
             let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             route_trace::record_duration(route_trace::Metric::DijkstraRunNs, ns);
@@ -529,23 +455,6 @@ pub fn minpath<G: GraphView>(g: &G, u: NodeId, v: NodeId) -> Result<Weight, Grap
     minpath_with(g, u, v, &mut KernelScratch::new())
 }
 
-/// Goal-oriented variant of [`minpath`]: the early-terminating query is
-/// steered by `potential` (built for a target set containing `v`). The
-/// returned cost is identical to [`minpath`]'s.
-///
-/// # Errors
-///
-/// Returns [`GraphError::NodeRemoved`] / [`GraphError::NodeOutOfBounds`] for
-/// an invalid endpoint, or [`GraphError::Disconnected`] if no path exists.
-pub fn minpath_guided<G: GraphView, P: Potential>(
-    g: &G,
-    u: NodeId,
-    v: NodeId,
-    potential: &P,
-) -> Result<Weight, GraphError> {
-    minpath_in(g, u, v, potential, &mut KernelScratch::new())
-}
-
 /// Allocation-free variant of [`minpath`] over a scratch arena: the
 /// frontier and tentative distances are reused across queries, and no
 /// `ShortestPaths` table is materialized. Returns exactly what [`minpath`]
@@ -561,20 +470,10 @@ pub fn minpath_with<G: GraphView>(
     v: NodeId,
     scratch: &mut KernelScratch,
 ) -> Result<Weight, GraphError> {
-    minpath_in(g, u, v, &ZeroPotential, scratch)
-}
-
-fn minpath_in<G: GraphView, P: Potential>(
-    g: &G,
-    u: NodeId,
-    v: NodeId,
-    potential: &P,
-    scratch: &mut KernelScratch,
-) -> Result<Weight, GraphError> {
     g.require_live_node(v)?;
     g.require_live_node(u)?;
     let state = &mut scratch.search;
-    search(g, u, potential, state, |settled| settled == v, |_, _, _| {});
+    search(g, u, state, |settled| settled == v, |_, _, _| {});
     state
         .settled_dist(v)
         .ok_or(GraphError::Disconnected { from: u, to: v })
@@ -712,6 +611,19 @@ mod tests {
         let sp = ShortestPaths::run(&g, n[0]).unwrap();
         assert_eq!(sp.dist(n[2]), Some(Weight::ZERO));
         assert_eq!(sp.path_to(n[2]).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn saturated_distances_clamp_at_the_maximum() {
+        let mut g = Graph::with_nodes(3);
+        let n: Vec<NodeId> = g.node_ids().collect();
+        let near_max = Weight::from_milli(Weight::MAX.as_milli() - 5);
+        g.add_edge(n[0], n[1], near_max).unwrap();
+        g.add_edge(n[1], n[2], near_max).unwrap();
+        let sp = ShortestPaths::run(&g, n[0]).unwrap();
+        assert_eq!(sp.dist(n[1]), Some(near_max));
+        assert_eq!(sp.dist(n[2]), Some(Weight::MAX));
+        assert_eq!(minpath(&g, n[2], n[0]).unwrap(), Weight::MAX);
     }
 
     #[test]

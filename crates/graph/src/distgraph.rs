@@ -14,7 +14,6 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::dijkstra::KernelScratch;
-use crate::lowerbound::{Potential, ZeroPotential};
 use crate::view::GraphView;
 use crate::{GraphError, NodeId, Path, ShortestPaths, Weight};
 
@@ -73,7 +72,7 @@ impl TerminalDistances {
         g: &G,
         terminals: &[NodeId],
     ) -> Result<TerminalDistances, GraphError> {
-        Self::compute_inner(g, terminals, None, &ZeroPotential)
+        Self::compute_inner(g, terminals, None)
     }
 
     /// Like [`compute`](Self::compute), but each per-terminal Dijkstra
@@ -100,46 +99,19 @@ impl TerminalDistances {
         terminals: &[NodeId],
         extra_targets: &[NodeId],
     ) -> Result<TerminalDistances, GraphError> {
-        Self::compute_to_targets_guided(g, terminals, extra_targets, &ZeroPotential)
-    }
-
-    /// Goal-oriented variant of [`compute_to_targets`]: each per-terminal
-    /// early-terminating Dijkstra is steered by `potential`, an admissible
-    /// lower bound on the distance to the nearest member of
-    /// `terminals ∪ extra_targets` (see [`lowerbound`](crate::lowerbound)).
-    /// For every target-set query the distances and paths are exactly
-    /// those of the plain computation — the guidance only shrinks the set
-    /// of *extra* nodes each run happens to settle on the way.
-    ///
-    /// [`push_terminal`](Self::push_terminal) on a guided instance runs
-    /// unguided (the potential is not retained); the appended terminal's
-    /// distances are identical either way.
-    ///
-    /// # Errors
-    ///
-    /// As [`compute`](Self::compute).
-    ///
-    /// [`compute_to_targets`]: Self::compute_to_targets
-    pub fn compute_to_targets_guided<G: GraphView, P: Potential>(
-        g: &G,
-        terminals: &[NodeId],
-        extra_targets: &[NodeId],
-        potential: &P,
-    ) -> Result<TerminalDistances, GraphError> {
         let mut targets: Vec<NodeId> = terminals.to_vec();
         // Dead extras can never settle and would defeat early
         // termination, silently degrading to a full-component run.
         targets.extend(extra_targets.iter().copied().filter(|&v| g.is_node_live(v)));
         targets.sort_unstable();
         targets.dedup();
-        Self::compute_inner(g, terminals, Some(targets), potential)
+        Self::compute_inner(g, terminals, Some(targets))
     }
 
-    fn compute_inner<G: GraphView, P: Potential>(
+    fn compute_inner<G: GraphView>(
         g: &G,
         terminals: &[NodeId],
         targets: Option<Vec<NodeId>>,
-        potential: &P,
     ) -> Result<TerminalDistances, GraphError> {
         if terminals.is_empty() {
             return Err(GraphError::EmptyTerminalSet);
@@ -156,8 +128,7 @@ impl TerminalDistances {
         let sp = terminals
             .iter()
             .map(|&t| {
-                ShortestPaths::run_in(g, t, targets.as_deref(), potential, &mut scratch)
-                    .map(Rc::new)
+                ShortestPaths::run_in(g, t, targets.as_deref(), &mut scratch).map(Rc::new)
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(TerminalDistances {
@@ -272,13 +243,7 @@ impl TerminalDistances {
         // A target-restricted instance keeps the restriction: the new
         // run stops at the same target set, so cross-queries between any
         // two members (all members are targets) remain exact.
-        let run = ShortestPaths::run_in(
-            g,
-            v,
-            self.targets.as_deref(),
-            &ZeroPotential,
-            &mut self.scratch,
-        )?;
+        let run = ShortestPaths::run_in(g, v, self.targets.as_deref(), &mut self.scratch)?;
         self.sp.push(Rc::new(run));
         self.terminals.push(v);
         Ok(self.terminals.len() - 1)
@@ -341,13 +306,7 @@ impl DistanceOracle {
         if let Some(sp) = self.cache.get(&source) {
             return Ok(Rc::clone(sp));
         }
-        let sp = Rc::new(ShortestPaths::run_in(
-            g,
-            source,
-            None,
-            &ZeroPotential,
-            &mut self.scratch,
-        )?);
+        let sp = Rc::new(ShortestPaths::run_in(g, source, None, &mut self.scratch)?);
         self.cache.insert(source, Rc::clone(&sp));
         Ok(sp)
     }

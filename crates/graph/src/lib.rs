@@ -18,13 +18,9 @@
 //!   and would be meaningless under floating-point drift.
 //! * [`ShortestPaths`] — Dijkstra single-source shortest paths with parent
 //!   links and path extraction, over a lazy-deletion binary heap and
-//!   reusable per-query buffers ([`KernelScratch`]). Goal-oriented (A*)
-//!   variants (`run_guided`, `run_to_targets_guided`, `minpath_guided`)
-//!   reorder the frontier by an admissible lower bound while settling
-//!   bit-identical distances and paths.
-//! * [`lowerbound`] — the admissible potentials steering those variants:
-//!   grid-Manhattan bounds for RR-graph-shaped grids and ALT landmark
-//!   tables for general graphs, all in saturating [`Weight`] math.
+//!   reusable per-query buffers ([`KernelScratch`]). A canonical
+//!   `(node, edge)` parent rule makes every tree a deterministic function
+//!   of the graph and its adjacency order.
 //! * [`csr`] — the per-net routing view: [`LaneView`] packs a base
 //!   graph's usable adjacency, under the net's [`LaneRules`] (hidden
 //!   nodes, per-node discounts, a tie-break tilt), in one pass into a
@@ -74,7 +70,6 @@ pub mod graph;
 pub mod grid;
 pub mod heap;
 mod ids;
-pub mod lowerbound;
 pub mod mst;
 pub mod multiweight;
 pub mod path;
@@ -86,7 +81,6 @@ mod weight;
 pub use csr::{LaneRules, LaneView, LiveLane};
 pub use dijkstra::{KernelScratch, ShortestPaths};
 pub use distgraph::{DistanceOracle, TerminalDistances};
-pub use lowerbound::{GridPotential, LandmarkPotential, Potential, ZeroPotential};
 pub use error::GraphError;
 pub use graph::Graph;
 pub use grid::GridGraph;

@@ -6,22 +6,23 @@
 //! removed nodes, removed edges and parallel edges these tests pin:
 //!
 //! * full runs against the Floyd–Warshall oracle;
-//! * target-restricted, guided and scratch-reusing runs against the full
-//!   plain run, on every target's distance *and* path (strictly positive
-//!   weights, where the canonical parent rule makes paths unique);
+//! * target-restricted and scratch-reusing runs, and the point-to-point
+//!   `minpath` queries, against the full run, on every target's distance
+//!   *and* path (strictly positive weights, where the canonical parent
+//!   rule makes paths unique);
 //! * a [`TerminalDistances`] that reuses one scratch across its
 //!   per-terminal runs and repeated `push_terminal` calls against fresh
 //!   runs;
 //! * a [`LaneView`]'s adjacency against its base graph, and, with masked
 //!   pins, discounts and a tilt, against a clone mutated the same way.
 
-use route_graph::dijkstra::{minpath, minpath_guided, minpath_with};
+use route_graph::dijkstra::{minpath, minpath_with};
 use route_graph::floyd::AllPairs;
 use route_graph::rng::{Rng, SplitMix64};
 use route_graph::csr::tilt;
 use route_graph::{
-    DistanceOracle, EdgeId, Graph, GraphView, KernelScratch, LandmarkPotential, LaneRules,
-    LaneView, LiveLane, NodeId, ShortestPaths, TerminalDistances, Weight,
+    DistanceOracle, EdgeId, Graph, GraphView, KernelScratch, LaneRules, LaneView, LiveLane,
+    NodeId, ShortestPaths, TerminalDistances, Weight,
 };
 
 /// A seeded graph with every liveness case the kernel must skip: random
@@ -110,7 +111,7 @@ fn full_runs_match_floyd_warshall() {
 }
 
 #[test]
-fn restricted_and_guided_runs_match_the_full_plain_run_on_every_target() {
+fn restricted_runs_match_the_full_run_on_every_target() {
     let mut scratch = KernelScratch::new();
     let mut oracle = DistanceOracle::new();
     for seed in 100..160u64 {
@@ -125,33 +126,10 @@ fn restricted_and_guided_runs_match_the_full_plain_run_on_every_target() {
         let reused =
             ShortestPaths::run_to_targets_with(&g, source, &targets, &mut scratch).unwrap();
         let via_oracle = oracle.run_to_targets(&g, source, &targets).unwrap();
-        let live: Vec<NodeId> = targets
-            .iter()
-            .copied()
-            .filter(|&t| g.is_node_live(t))
-            .collect();
-        let guided = (!live.is_empty()).then(|| {
-            let pot = LandmarkPotential::build(&g, 3, &live).unwrap();
-            (
-                ShortestPaths::run_to_targets_guided(&g, source, &targets, &pot).unwrap(),
-                ShortestPaths::run_guided(&g, source, &pot).unwrap(),
-                pot,
-            )
-        });
         for &t in &targets {
             assert_same_route(&full, &restricted, t, &format!("seed {seed} restricted"));
             assert_same_route(&full, &reused, t, &format!("seed {seed} scratch"));
             assert_same_route(&full, &via_oracle, t, &format!("seed {seed} oracle"));
-            if let Some((guided, _, pot)) = &guided {
-                assert_same_route(&full, guided, t, &format!("seed {seed} guided"));
-                if g.is_node_live(t) {
-                    assert_eq!(
-                        minpath_guided(&g, source, t, pot).ok(),
-                        full.dist(t),
-                        "seed {seed}: guided minpath to {t}"
-                    );
-                }
-            }
             if g.is_node_live(t) {
                 let want = full.dist(t);
                 assert_eq!(
@@ -164,11 +142,11 @@ fn restricted_and_guided_runs_match_the_full_plain_run_on_every_target() {
                     want,
                     "seed {seed}: scratch minpath to {t}"
                 );
-            }
-        }
-        if let Some((_, guided_full, _)) = &guided {
-            for v in g.node_ids() {
-                assert_same_route(&full, guided_full, v, &format!("seed {seed} guided full"));
+                assert_eq!(
+                    oracle.minpath(&g, source, t).ok(),
+                    want,
+                    "seed {seed}: oracle minpath to {t}"
+                );
             }
         }
     }

@@ -8,7 +8,7 @@
 //! code it cannot reach need not be. Entry points are pinned by
 //! `(file, fn)` below — the router's per-circuit entry (which runs every
 //! rip-up pass and dispatches to PathFinder), the negotiated-congestion
-//! route phase, and the plain/guided Dijkstra kernels — so a refactor
+//! route phase, and the Dijkstra kernel's entry points — so a refactor
 //! that renames or moves one fails the lint loudly
 //! ([`missing_entry_points`]) instead of silently shrinking the cone.
 //!
@@ -33,11 +33,9 @@ pub const ENTRY_POINTS: &[(&str, &str)] = &[
     ("crates/fpga/src/router.rs", "route_classified"),
     // Negotiated congestion: per-iteration parallel route phase + cost update.
     ("crates/fpga/src/pathfinder.rs", "route_negotiated"),
-    // The plain and guided shortest-path kernels.
+    // The shortest-path kernel.
     ("crates/graph/src/dijkstra.rs", "run"),
-    ("crates/graph/src/dijkstra.rs", "run_guided"),
     ("crates/graph/src/dijkstra.rs", "run_to_targets"),
-    ("crates/graph/src/dijkstra.rs", "run_to_targets_guided"),
     ("crates/graph/src/dijkstra.rs", "run_to_targets_with"),
 ];
 

@@ -295,9 +295,9 @@ impl S {\n    fn method(&self) {\n        self.other();\n    }\n}\n";
 
     #[test]
     fn impl_trait_for_type_attributes_to_the_type() {
-        let src = "impl<G: GraphView> Potential for GridPotential<G> {\n fn h(&self) { grid(self) }\n}\n";
+        let src = "impl<G: GraphView> GraphView for LaneView<G> {\n fn epoch(&self) { stamp(self) }\n}\n";
         let m = model(src);
-        assert_eq!(m.fns[0].self_ty.as_deref(), Some("GridPotential"));
+        assert_eq!(m.fns[0].self_ty.as_deref(), Some("LaneView"));
     }
 
     #[test]

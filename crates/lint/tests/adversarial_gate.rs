@@ -47,9 +47,7 @@ pub fn route_classified() {}
 ";
 const DIJKSTRA_STUB: &str = "
 pub fn run() {}
-pub fn run_guided() {}
 pub fn run_to_targets() {}
-pub fn run_to_targets_guided() {}
 pub fn run_to_targets_with() {}
 ";
 

@@ -9,7 +9,7 @@
 //! 2. **No contention when enabled.** Spans and counters land in a
 //!    per-thread buffer ([`LocalBuf`]); the shared state is touched only
 //!    when a buffer flushes — at thread exit for scoped workers (PathFinder
-//!    route-phase workers and width probes, when their scope joins) and at
+//!    route-phase workers, when their scope joins) and at
 //!    [`Collector::finish`] for the installing thread. Congestion
 //!    snapshots are once-per-pass, so they go straight to the shared side.
 //! 3. **Sound under worker churn.** PathFinder spawns fresh scoped

@@ -60,20 +60,18 @@ pub enum Counter {
     /// Edges rewritten by the negotiated-congestion cost update, full
     /// sweeps and incremental (delta) sweeps combined.
     PathfinderRepricedEdges,
-    /// Frontier nodes a goal-oriented (A*) kernel query left unsettled
-    /// in the heap at early exit — work plain Dijkstra would have done.
+    /// Always 0: the kernel is plain Dijkstra and nothing increments
+    /// it. Kept because the benchmark's `graph.astar_pruned_nodes`
+    /// metric reads it.
     AstarPrunedNodes,
-    /// Heap inserts plus strict decrease-key accepts across all kernel
-    /// queries (guided or plain).
+    /// Pushes onto the kernel's lazy-deletion heap across all queries:
+    /// the source plus each strictly improving relaxation.
     HeapPushes,
-    /// Lower-bound potential constructions (grid-Manhattan or landmark
-    /// tables) built for goal-oriented kernel queries.
-    LowerboundBuilds,
 }
 
 impl Counter {
     /// Every counter, in declaration order (the dense index order).
-    pub const ALL: [Counter; 23] = [
+    pub const ALL: [Counter; 22] = [
         Counter::DijkstraRuns,
         Counter::DijkstraHeapPops,
         Counter::DijkstraRelaxations,
@@ -96,7 +94,6 @@ impl Counter {
         Counter::PathfinderRepricedEdges,
         Counter::AstarPrunedNodes,
         Counter::HeapPushes,
-        Counter::LowerboundBuilds,
     ];
 
     /// Stable snake_case name used in emitted JSON and summary tables.
@@ -125,7 +122,6 @@ impl Counter {
             Counter::PathfinderRepricedEdges => "pathfinder_repriced_edges",
             Counter::AstarPrunedNodes => "astar_pruned_nodes",
             Counter::HeapPushes => "heap_pushes",
-            Counter::LowerboundBuilds => "lowerbound_builds",
         }
     }
 }

@@ -29,8 +29,8 @@ pub enum Metric {
     CommitApplyNs,
     /// Wall-clock of one full PathFinder route-all/reprice iteration.
     PfIterationNs,
-    /// Wall-clock of one shortest-path kernel query (guided or plain,
-    /// including scratch-arena `minpath` queries).
+    /// Wall-clock of one shortest-path kernel query (including
+    /// scratch-arena `minpath` queries).
     KernelQueryNs,
     /// Wall-clock of one candidate-pricing round of the iterated Steiner
     /// template: the whole pool priced against one terminal set.

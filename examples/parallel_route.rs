@@ -1,22 +1,17 @@
-//! The two places the router uses threads, and how each stays
-//! bit-identical to its single-threaded run.
+//! Where the router uses threads, and how it stays bit-identical to its
+//! single-threaded run.
 //!
-//! * **PathFinder's route phase** (`RouteMode::Pathfinder`,
-//!   `RouterConfig::threads`): every iteration routes its nets against
-//!   one immutable priced snapshot, so the nets split across workers and
-//!   the trees come out identical for any thread count.
-//! * **The parallel width search** (`minimum_channel_width_parallel`):
-//!   each probed width builds its own device and routes on its own
-//!   thread; the smallest routable width wins, as in a linear scan.
-//!
-//! Rip-up routes one net at a time whatever `threads` says.
+//! PathFinder's route phase (`RouteMode::Pathfinder`,
+//! `RouterConfig::threads`) routes every iteration's nets against one
+//! immutable priced snapshot, so the nets split across workers and the
+//! trees come out identical for any thread count. Rip-up routes one net
+//! at a time whatever `threads` says.
 //!
 //! Run with: `cargo run --release --example parallel_route [threads] [width]`
 //! (widths too narrow for PathFinder show both thread counts agreeing on
 //! the failure too).
 
 use fpga_route::fpga::synth::{synthesize, xc4000_profiles};
-use fpga_route::fpga::width::{minimum_channel_width, minimum_channel_width_parallel, WidthSearch};
 use fpga_route::fpga::{ArchSpec, Device, RouteMode, Router, RouterConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -73,21 +68,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             panic!("thread counts disagree: 1 thread {one:?} vs {threads} threads {many:?}");
         }
     }
-
-    // The width search probes up to `threads` widths at once and finds
-    // the width a sequential linear scan finds.
-    let base = ArchSpec::xilinx4000(profile.rows, profile.cols, 4);
-    let ripup = RouterConfig {
-        max_passes: 8,
-        ..RouterConfig::default()
-    };
-    let route = |device: &Device| Router::new(device, ripup.clone()).route(&circuit);
-    let linear = minimum_channel_width(base, 4..=16, WidthSearch::Linear, route)?;
-    let parallel = minimum_channel_width_parallel(base, 4..=16, threads, route)?;
-    assert_eq!(linear.channel_width, parallel.channel_width);
-    println!(
-        "minimum channel width: {} ({} probes in waves of {threads}, {} probes linearly)",
-        parallel.channel_width, parallel.attempts, linear.attempts
-    );
     Ok(())
 }

@@ -9,7 +9,7 @@
 //! fpga-route width --circuit term1 --arch 4000 [--min 3] [--max 24]
 //!                  [--algorithm ikmb] [--baseline] [--threads 0]
 //!                  [--mode ripup] [--pf-iterations 50] [--pf-selective]
-//!                  [--probe-threads 0] [--trace out.jsonl] [--metrics]
+//!                  [--trace out.jsonl] [--metrics]
 //! fpga-route net --rows 20 --cols 20 --pins 5 [--algorithm idom] [--seed 7]
 //! fpga-route trace-check <file.jsonl>
 //! fpga-route trace-report <file.jsonl>
@@ -23,9 +23,7 @@ use std::error::Error;
 use std::process::ExitCode;
 
 use fpga_route::fpga::synth::{synthesize, xc3000_profiles, xc4000_profiles, CircuitProfile};
-use fpga_route::fpga::width::{
-    minimum_channel_width, minimum_channel_width_parallel, WidthSearch,
-};
+use fpga_route::fpga::width::{minimum_channel_width, WidthSearch};
 use fpga_route::fpga::{
     viz, ArchSpec, BaselineConfig, BaselineRouter, Device, RouteAlgorithm, RouteMode, Router,
     RouterConfig,
@@ -61,8 +59,7 @@ usage:
                    [--min <W>] [--max <W>] [--algorithm <name>] [--baseline]
                    [--threads <n>]
                    [--mode <ripup|pathfinder>] [--pf-iterations <n>]
-                   [--pf-selective]
-                   [--probe-threads <n>] [--trace <file>] [--stream] [--metrics]
+                   [--pf-selective] [--trace <file>] [--stream] [--metrics]
   fpga-route net   --rows <n> --cols <n> --pins <n> [--algorithm <name>] [--seed <n>]
   fpga-route trace-check <file.jsonl>
   fpga-route trace-report <file.jsonl>
@@ -78,7 +75,6 @@ usage:
 --pf-selective: pathfinder dirty-net mode — only nets touching over-capacity
                 nodes (or gone stale) reroute each iteration, with delta
                 repricing; iteration cost tracks remaining congestion
---probe-threads: concurrent width probes; 0 = one worker per available core
 --trace: telemetry as JSONL (or a single JSON document for .json paths);
          `-` writes JSONL to stdout
 --stream: append trace lines live as spans close (requires --trace, JSONL only)
@@ -120,7 +116,6 @@ const WIDTH_FLAGS: FlagSpec = &[
     ("mode", true),
     ("pf-iterations", true),
     ("pf-selective", false),
-    ("probe-threads", true),
     ("trace", true),
     ("stream", false),
     ("metrics", false),
@@ -211,19 +206,6 @@ fn get_usize(
 
 fn get_u64(flags: &HashMap<String, String>, key: &str, default: u64) -> Result<u64, Box<dyn Error>> {
     flags.get(key).map_or(Ok(default), |v| Ok(v.parse()?))
-}
-
-/// Resolves a CLI-side thread-count flag (`--probe-threads`): absent = 1
-/// (sequential), `0` = one worker per available core. Router `--threads`
-/// is *not* resolved here — `0` passes through so the router can pick a
-/// worker count per circuit ([`fpga_route::fpga::auto_thread_count`]).
-fn get_threads(flags: &HashMap<String, String>, key: &str) -> Result<usize, Box<dyn Error>> {
-    let requested = get_usize(flags, key, Some(1))?;
-    Ok(if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        requested
-    })
 }
 
 fn algorithm(flags: &HashMap<String, String>) -> Result<RouteAlgorithm, Box<dyn Error>> {
@@ -443,10 +425,8 @@ fn cmd_width(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     let max = get_usize(flags, "max", Some(24))?;
     let seed = get_u64(flags, "seed", 1995)?;
     let passes = get_usize(flags, "passes", Some(10))?;
-    // Router threads pass through raw (0 = per-circuit auto); probe
-    // parallelism is a CLI concern and resolves here.
+    // Router threads pass through raw (0 = per-circuit auto).
     let threads = get_usize(flags, "threads", Some(1))?;
-    let probe_threads = get_threads(flags, "probe-threads")?;
     let circuit = synthesize(&profile, 2, seed)?;
     let base = arch_for(flags, &profile, min)?;
     let use_baseline = flags.contains_key("baseline");
@@ -482,11 +462,7 @@ fn cmd_width(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         }
     };
     let collector = maybe_collector(flags)?;
-    let found = if probe_threads > 1 {
-        minimum_channel_width_parallel(base, min..=max, probe_threads, route)?
-    } else {
-        minimum_channel_width(base, min..=max, WidthSearch::Binary, route)?
-    };
+    let found = minimum_channel_width(base, min..=max, WidthSearch::Binary, route)?;
     print_human(
         flags,
         &format!(
@@ -748,6 +724,7 @@ mod tests {
                 "spec-probe-period",
                 "pf-stale-slack-milli",
                 "pf-history-decay-milli",
+                "probe-threads",
             ] {
                 let err = parse_flags(&[format!("--{flag}"), "1".into()], command, spec)
                     .unwrap_err()
@@ -799,6 +776,9 @@ mod tests {
         assert_eq!(get_usize(&f, "passes", Some(10)).unwrap(), 10);
         assert!(get_usize(&f, "missing", None).is_err());
         assert_eq!(get_u64(&f, "seed", 1995).unwrap(), 1995);
+        // Router --threads is NOT resolved CLI-side: 0 reaches the
+        // RouterConfig untouched so the router can auto-size per circuit.
+        assert_eq!(get_usize(&flags(&[("threads", "0")]), "threads", Some(1)).unwrap(), 0);
     }
 
     #[test]
@@ -808,22 +788,6 @@ mod tests {
         assert!(parsed.contains_key("pf-selective"));
         assert!(!RouterConfig::default().pf_selective);
         assert!(parse_flags(&["--pf-selective".into()], "width", WIDTH_FLAGS).is_ok());
-    }
-
-    #[test]
-    fn probe_thread_flag_resolves_zero_to_available_cores() {
-        assert_eq!(get_threads(&flags(&[]), "probe-threads").unwrap(), 1);
-        assert_eq!(
-            get_threads(&flags(&[("probe-threads", "3")]), "probe-threads").unwrap(),
-            3
-        );
-        assert!(
-            get_threads(&flags(&[("probe-threads", "0")]), "probe-threads").unwrap() >= 1
-        );
-        assert!(get_threads(&flags(&[("probe-threads", "x")]), "probe-threads").is_err());
-        // Router --threads is NOT resolved CLI-side: 0 reaches the
-        // RouterConfig untouched so the router can auto-size per circuit.
-        assert_eq!(get_usize(&flags(&[("threads", "0")]), "threads", Some(1)).unwrap(), 0);
     }
 
     #[test]

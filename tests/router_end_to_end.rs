@@ -189,28 +189,6 @@ fn parallel_routing_is_deterministic_and_matches_sequential() {
 }
 
 #[test]
-fn parallel_width_search_matches_sequential() {
-    use fpga_route::fpga::width::minimum_channel_width_parallel;
-    let profile = test_profile();
-    let circuit = synthesize(&profile, 2, 9).unwrap();
-    let base = ArchSpec::xilinx4000(6, 6, 4);
-    let config = RouterConfig {
-        max_passes: 6,
-        threads: 2,
-        ..RouterConfig::default()
-    };
-    let linear = minimum_channel_width(base, 3..=16, WidthSearch::Linear, |device| {
-        Router::new(device, config.clone()).route(&circuit)
-    })
-    .unwrap();
-    let parallel = minimum_channel_width_parallel(base, 3..=16, 4, |device| {
-        Router::new(device, config.clone()).route(&circuit)
-    })
-    .unwrap();
-    assert_eq!(parallel.channel_width, linear.channel_width);
-}
-
-#[test]
 fn unroutable_reports_are_accurate() {
     let profile = test_profile();
     let circuit = synthesize(&profile, 2, 9).unwrap();
