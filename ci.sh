@@ -77,8 +77,15 @@ fi
 echo "==> telemetry smoke: width --threads 0 --trace --stream"
 trace_file="$(mktemp /tmp/fpga_route_trace.XXXXXX.jsonl)"
 trap 'rm -f "$trace_file" "$bad_file"' EXIT
-./target/release/fpga_route width --circuit term1 --arch 4000 \
-    --threads 0 --trace "$trace_file" --stream --metrics
+width_out="$(./target/release/fpga_route width --circuit term1 --arch 4000 \
+    --threads 0 --trace "$trace_file" --stream --metrics)"
+printf '%s\n' "$width_out"
+# term1 routes at W = 7. The search probes the midpoint 13, walks down
+# from its peak occupancy and fails only at 6: five attempts at most.
+if ! grep -Eq 'minimum channel width 7 with .* \([1-5] routing attempts' <<< "$width_out"; then
+    echo "width smoke: expected W = 7 in at most 5 routing attempts" >&2
+    exit 1
+fi
 ./target/release/fpga_route trace-check "$trace_file"
 grep -q '"mode":"stream"' "$trace_file"
 grep -q '"type":"span"' "$trace_file"

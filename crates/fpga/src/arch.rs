@@ -136,7 +136,9 @@ impl ArchSpec {
     /// # Errors
     ///
     /// Returns [`FpgaError::InvalidArchitecture`] for zero dimensions, zero
-    /// width, `fs < 3`, or zero pins.
+    /// width, `fs < 3`, zero pins, an `F_c` fraction with a zero
+    /// denominator or one that overflows at this width, or a routing graph
+    /// whose node or edge count does not fit the graph's 32-bit ids.
     pub fn validate(&self) -> Result<(), FpgaError> {
         if self.rows == 0 || self.cols == 0 {
             return Err(FpgaError::InvalidArchitecture(
@@ -159,7 +161,55 @@ impl ArchSpec {
                 "blocks need at least one pin per side".into(),
             ));
         }
+        if let FcSpec::Fraction { num, den } = self.fc {
+            if den == 0 || num.checked_mul(self.channel_width).is_none() {
+                return Err(FpgaError::InvalidArchitecture(format!(
+                    "connection-block flexibility {num}/{den} of W = {} cannot be resolved",
+                    self.channel_width
+                )));
+            }
+        }
+        let fits = |n: usize| u32::try_from(n).is_ok();
+        if !self
+            .graph_size()
+            .is_some_and(|(nodes, edges)| fits(nodes) && fits(edges))
+        {
+            return Err(FpgaError::InvalidArchitecture(format!(
+                "a {}x{} array at W = {} needs more routing-graph nodes or edges than 32-bit ids can number",
+                self.rows, self.cols, self.channel_width
+            )));
+        }
         Ok(())
+    }
+
+    /// The node and edge counts of this architecture's routing-resource
+    /// graph (see `Device::new`), or `None` if either overflows `usize`.
+    /// Assumes the checks before it in [`ArchSpec::validate`] passed.
+    fn graph_size(&self) -> Option<(usize, usize)> {
+        let (rows, cols, w) = (self.rows, self.cols, self.channel_width);
+        let pins = rows
+            .checked_mul(cols)?
+            .checked_mul(4)?
+            .checked_mul(self.pins_per_side)?;
+        let positions = (rows.checked_add(1)?.checked_mul(cols)?)
+            .checked_add(cols.checked_add(1)?.checked_mul(rows)?)?;
+        let nodes = positions.checked_mul(w)?.checked_add(pins)?;
+        // Side pairs over all switch blocks, per offset class: straight
+        // (W-E at the interior vertical channels, N-S at the interior
+        // horizontal ones), then each turn class, whose two corner pairs
+        // meet at `rows · cols` switch blocks each.
+        let straight = positions - rows - cols - 2;
+        let turns = rows.checked_mul(cols)?.checked_mul(2)?;
+        let extra = self.fs - 3;
+        let mut edges = pins.checked_mul(self.fc_resolved())?;
+        for (class, pairs) in [straight, turns, turns].into_iter().enumerate() {
+            // The class's offsets are 0 and 1..=k; an offset that W
+            // divides would join a track to itself and adds no edge.
+            let k = extra / 3 + usize::from(class < extra % 3);
+            let per_pair = (k - k / w + 1).checked_mul(w)?;
+            edges = edges.checked_add(pairs.checked_mul(per_pair)?)?;
+        }
+        Some((nodes, edges))
     }
 
     /// Total logic blocks in the array.
@@ -209,6 +259,88 @@ mod tests {
         a.pins_per_side = 0;
         assert!(a.validate().is_err());
         assert!(ArchSpec::xilinx4000(5, 5, 4).validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_unresolvable_fc_fractions() {
+        let mut a = ArchSpec::xilinx3000(5, 5, 4);
+        a.fc = FcSpec::Fraction { num: 3, den: 0 };
+        assert!(matches!(
+            a.validate(),
+            Err(FpgaError::InvalidArchitecture(_))
+        ));
+        // The device build validates before it resolves F_c.
+        assert!(matches!(
+            crate::device::Device::new(a),
+            Err(FpgaError::InvalidArchitecture(_))
+        ));
+        a.fc = FcSpec::Fraction {
+            num: usize::MAX,
+            den: 5,
+        };
+        assert!(matches!(
+            a.validate(),
+            Err(FpgaError::InvalidArchitecture(_))
+        ));
+    }
+
+    #[test]
+    fn validation_rejects_graphs_beyond_32_bit_ids() {
+        let huge = ArchSpec::xilinx4000(10, 9, u32::MAX as usize);
+        assert!(matches!(
+            huge.validate(),
+            Err(FpgaError::InvalidArchitecture(_))
+        ));
+        for arch in [
+            ArchSpec::xilinx4000(usize::MAX, 2, 4),
+            ArchSpec::xilinx4000(2, usize::MAX, 4),
+            ArchSpec::xilinx4000(2, 2, usize::MAX),
+            ArchSpec::xilinx3000(70_000, 70_000, 1),
+        ] {
+            assert!(
+                matches!(arch.validate(), Err(FpgaError::InvalidArchitecture(_))),
+                "{arch:?}"
+            );
+        }
+        let mut many_pins = ArchSpec::xilinx4000(2, 2, 4);
+        many_pins.pins_per_side = usize::MAX / 4;
+        assert!(many_pins.validate().is_err());
+        let mut wide_switches = ArchSpec::xilinx4000(2, 2, 4);
+        wide_switches.fs = usize::MAX;
+        assert!(wide_switches.validate().is_err());
+        // A 1×1 array has 4·W + 8 nodes and 12·W edges (8 pins at
+        // F_c = W, four corner pairs of W tracks); find the widest that fits.
+        let edge_limit = u32::MAX as usize / 12;
+        assert!(ArchSpec::xilinx4000(1, 1, edge_limit).validate().is_ok());
+        assert!(ArchSpec::xilinx4000(1, 1, edge_limit + 1)
+            .validate()
+            .is_err());
+    }
+
+    #[test]
+    fn graph_size_counts_the_built_device() {
+        let mut specs = Vec::new();
+        for (rows, cols) in [(1, 1), (1, 3), (2, 2), (3, 4)] {
+            for w in 1..=5 {
+                specs.push(ArchSpec::xilinx4000(rows, cols, w));
+                specs.push(ArchSpec::xilinx3000(rows, cols, w));
+                for fs in [4, 5, 9, 13] {
+                    specs.push(ArchSpec {
+                        fs,
+                        ..ArchSpec::xilinx3000(rows, cols, w)
+                    });
+                }
+            }
+        }
+        for arch in specs {
+            let device = crate::device::Device::new(arch).unwrap();
+            let graph = device.graph();
+            assert_eq!(
+                arch.graph_size(),
+                Some((graph.node_count(), graph.edge_count())),
+                "{arch:?}"
+            );
+        }
     }
 
     #[test]

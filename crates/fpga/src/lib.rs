@@ -25,8 +25,8 @@
 //!   bit-identical across thread counts;
 //! * [`BaselineRouter`] — the two-pin-decomposition stand-in for
 //!   CGE/SEGA/GBP;
-//! * [`width`] — minimum channel-width search, optionally probing several
-//!   widths concurrently;
+//! * [`width`] — minimum channel-width search, guided by the peak channel
+//!   occupancy of its first routed probe;
 //! * [`viz`] — ASCII/SVG renderings (paper Figure 16).
 //!
 //! ```no_run

@@ -1,18 +1,23 @@
 //! Golden routing digests: one small synthesized circuit routed six
-//! ways, each routing hashed and compared against a recorded constant.
+//! ways, each routing hashed and compared against a recorded constant,
+//! plus one minimum-width search whose found width and routing are
+//! pinned the same way.
 //!
 //! The shortest-path kernel and the per-net relaxation view under it are
 //! free to change how they search, but not what they find: every tree
 //! the router commits must stay bit-identical. These constants pin that
-//! without running the benchmark. The hash is the benchmark's per-job
-//! digest (FNV-1a over every tree's edge ids, one separator per net), so
-//! a mismatch here is the same signal a digest mismatch there would be.
+//! without running the benchmark. Likewise the width search is free to
+//! change which widths it probes, but not the width it finds or the
+//! routing it returns there. The hash is the benchmark's per-job digest
+//! (FNV-1a over every tree's edge ids, one separator per net), so a
+//! mismatch here is the same signal a digest mismatch there would be.
 //!
 //! If a change *means* to alter routings, re-record the constants and
 //! say why in the change log.
 
 use fpga_route::fpga::classify;
 use fpga_route::fpga::synth::{synthesize, CircuitProfile};
+use fpga_route::fpga::width::{minimum_channel_width, WidthSearch};
 use fpga_route::fpga::{
     ArchSpec, Circuit, Device, RouteAlgorithm, RouteMode, RouteOutcome, Router, RouterConfig,
 };
@@ -119,4 +124,26 @@ fn selective_pathfinder_digest_is_pinned_at_one_and_two_threads() {
             "threads = {threads}"
         );
     }
+}
+
+#[test]
+fn ripup_width_search_finds_the_pinned_width_and_routing() {
+    let profile = golden_profile();
+    let circuit = synthesize(&profile, 2, 1995).expect("synthesizable");
+    let config = RouterConfig {
+        algorithm: RouteAlgorithm::Ikmb,
+        max_passes: 10,
+        ..RouterConfig::default()
+    };
+    let found = minimum_channel_width(
+        ArchSpec::xilinx4000(profile.rows, profile.cols, WIDTH),
+        3..=24,
+        WidthSearch::Binary,
+        |device| Router::new(device, config.clone()).route(&circuit),
+    )
+    .expect("the golden circuit routes within 3..=24");
+    assert_eq!(
+        (found.channel_width, digest(&found.outcome)),
+        (4, 0x0cd1_4cb3_4b0f_40c2)
+    );
 }
