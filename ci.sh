@@ -74,6 +74,19 @@ if [ "$lint_status" -ne 1 ]; then
     exit 1
 fi
 
+# Fails unless the `dijkstra_heap_pops` line of the `--metrics` summary
+# in $1 is at most $2. The count repeats exactly from run to run, so a
+# construction whose distance runs flood the candidate pool again (IKMB
+# and IDOM stop each run at the source's radius) fails here.
+require_heap_pops_at_most() {
+    local pops
+    pops="$(awk '$1 == "dijkstra_heap_pops" { print $2 }' <<< "$1")"
+    if [ -z "$pops" ] || [ "$pops" -gt "$2" ]; then
+        echo "$3: dijkstra_heap_pops ${pops:-missing} above the ceiling $2" >&2
+        exit 1
+    fi
+}
+
 echo "==> telemetry smoke: width --threads 0 --trace --stream"
 trace_file="$(mktemp /tmp/fpga_route_trace.XXXXXX.jsonl)"
 trap 'rm -f "$trace_file" "$bad_file"' EXIT
@@ -86,6 +99,8 @@ if ! grep -Eq 'minimum channel width 7 with .* \([1-5] routing attempts' <<< "$w
     echo "width smoke: expected W = 7 in at most 5 routing attempts" >&2
     exit 1
 fi
+# About 2.30 M with radius-stopped runs, 4.84 M when they flood the pool.
+require_heap_pops_at_most "$width_out" 3000000 "width smoke"
 ./target/release/fpga_route trace-check "$trace_file"
 grep -q '"mode":"stream"' "$trace_file"
 grep -q '"type":"span"' "$trace_file"
@@ -123,8 +138,11 @@ grep -q '"name":"pathfinder_repriced_edges"' "$sel_trace"
 echo "==> IDOM smoke: route --algorithm idom --trace --stream"
 idom_trace="$(mktemp /tmp/fpga_route_idom.XXXXXX.jsonl)"
 trap 'rm -f "$trace_file" "$bad_file" "$pf_trace" "$sel_trace" "$idom_trace"' EXIT
-./target/release/fpga_route route --circuit term1 --arch 4000 --width 10 \
-    --algorithm idom --trace "$idom_trace" --stream --metrics
+idom_out="$(./target/release/fpga_route route --circuit term1 --arch 4000 --width 10 \
+    --algorithm idom --trace "$idom_trace" --stream --metrics)"
+printf '%s\n' "$idom_out"
+# About 0.54 M with radius-stopped runs, 1.20 M when they flood the pool.
+require_heap_pops_at_most "$idom_out" 800000 "IDOM smoke"
 ./target/release/fpga_route trace-check "$idom_trace"
 grep -q '"name":"dom_connections"' "$idom_trace"
 grep -q '"name":"steiner_screen_ns"' "$idom_trace"

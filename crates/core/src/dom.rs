@@ -181,6 +181,24 @@ impl IteratedBaseInfo for Dom {
     fn supports_target_restricted_distances(&self) -> bool {
         true
     }
+
+    /// DOM never needs a distance above `R`, which is also the largest
+    /// source distance of any member.
+    ///
+    /// * A candidate priced below the reference must be some member's
+    ///   parent, so its source distance is below `R`. `screen_round`
+    ///   therefore keeps its gate on the source's run: a candidate that
+    ///   run left unsettled is farther than `R` from the source, and no
+    ///   member can take it as a parent.
+    /// * Every leg that the price or the exact cost can use is a
+    ///   dominance leg, no longer than the source distance of its far
+    ///   end, so no longer than `R`: both of its runs settled it, and
+    ///   `build_with` walks the same parents.
+    /// * A value a run left unsettled is larger than `R`, so it fails the
+    ///   dominance test, as it does on runs that settle the whole pool.
+    fn screens_within_source_radius(&self) -> bool {
+        true
+    }
 }
 
 impl<G: GraphView> IteratedBase<G> for Dom {
@@ -220,6 +238,7 @@ impl<G: GraphView> IteratedBase<G> for Dom {
             .collect();
         let mut priced = 0u64;
         price_below(pool, reference, scored, |t| {
+            // Unreachable, or too far from the source to be a parent.
             let d0t = td.dist_to_node(0, t)?;
             priced += 1;
             let mut cost = Weight::ZERO;

@@ -77,6 +77,27 @@ pub trait IteratedBaseInfo {
     fn restricted_extra_targets(&self) -> &[NodeId] {
         &[]
     }
+
+    /// Whether screened rounds over an explicit candidate pool may run on
+    /// [`TerminalDistances::compute_to_radius`] instead of on runs that
+    /// settle the whole pool.
+    ///
+    /// Those runs stop at the source's radius `R`, the largest distance
+    /// from the source to a terminal. The template's half of the proof is
+    /// that every run, pushed ones included, settles each node no farther
+    /// than `R` from its source, so a value a run leaves out is larger
+    /// than `R`, and that each member pair is settled by the later of its
+    /// two runs. A base that returns `true` supplies the other half: with
+    /// such values left out, its
+    /// [`screen_round`](IteratedBase::screen_round) scores the same
+    /// candidates at the same prices, and its
+    /// [`cost_with`](IteratedBase::cost_with) (of the reference and of
+    /// every scored candidate) and [`build_with`](IteratedBase::build_with)
+    /// of the member set return the same trees and costs. KMB and DOM
+    /// opt in; each states its proof on its own implementation.
+    fn screens_within_source_radius(&self) -> bool {
+        false
+    }
 }
 
 /// A heuristic `H` usable inside the iterated IGMST/IDOM template
@@ -175,8 +196,12 @@ pub(crate) fn price_below(
     }
 }
 
-/// Verifies that all of `td`'s terminals (plus the optional candidate) are
-/// mutually reachable, returning the first offending pair otherwise.
+/// Verifies that all of `td`'s terminals are mutually reachable and that
+/// some terminal's run reached the optional candidate, returning the first
+/// offending pair (from terminal 0) otherwise.
+///
+/// Any terminal will do for the candidate: runs that stop at the source's
+/// radius may leave a reachable candidate to the other runs.
 ///
 /// # Errors
 ///
@@ -196,7 +221,7 @@ pub(crate) fn require_connected(
         }
     }
     if let Some(c) = candidate {
-        if td.dist_to_node(0, c).is_none() {
+        if (0..td.len()).all(|i| td.dist_to_node(i, c).is_none()) {
             return Err(GraphError::Disconnected { from: t0, to: c }.into());
         }
     }

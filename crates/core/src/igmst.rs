@@ -153,12 +153,20 @@ impl<H: IteratedBaseInfo> Iterated<H> {
         H: IteratedBase<G>,
     {
         net.validate_in(g)?;
-        // With an explicit candidate pool and a base whose queries stay
-        // within `terminals ∪ pool`, each Dijkstra can stop once that set
-        // is settled: accepted Steiner points come from the pool, so
-        // every future member-pair query hits a settled node. Results
-        // are bit-identical to full runs; only the flooded area shrinks.
+        // With an explicit candidate pool, each Dijkstra can stop early.
+        // Screened rounds of a base that prices within the source's
+        // radius stop there (see `IteratedBaseInfo::
+        // screens_within_source_radius`). Otherwise a base whose queries
+        // stay within `terminals ∪ pool` stops once that set is settled:
+        // accepted Steiner points come from the pool, so every future
+        // member-pair query hits a settled node. Either way every tree
+        // is bit-identical to full runs; only the flooded area shrinks.
         let mut td = match &self.config.pool {
+            CandidatePool::Explicit(_)
+                if self.config.screened && self.base.screens_within_source_radius() =>
+            {
+                TerminalDistances::compute_to_radius(g, net.terminals())?
+            }
             CandidatePool::Explicit(nodes)
                 if self.base.supports_target_restricted_distances() =>
             {

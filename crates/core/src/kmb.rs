@@ -78,6 +78,29 @@ impl IteratedBaseInfo for Kmb {
     fn supports_target_restricted_distances(&self) -> bool {
         true
     }
+
+    /// KMB never needs a distance above `R`. Let `M(T)` be the heaviest
+    /// edge of the distance-graph MST over the member set `T`, and `N`
+    /// the terminals. Removing that edge from MST(`N`) splits `N` in two,
+    /// and every pair across the split is at least `M(N)` apart. The
+    /// source has a terminal on the far side, so `R ≥ M(N)`.
+    ///
+    /// * A candidate priced below MST(`T`) joins only through star edges
+    ///   lighter than `M(T)`, because tree edges win ties in the merged
+    ///   Kruskal of `screen_round`. So accepted points never raise `M`,
+    ///   and every MST edge between members is at most `R`: both of its
+    ///   runs settled it, and its expansion walks the same parents.
+    /// * An unsettled star edge is longer than `R`, so it sorts after
+    ///   every tree edge and every settled star edge; Kruskal never needs
+    ///   it to price a candidate below MST(`T`). A candidate that no
+    ///   member's run settled could only price above MST(`T`), so it is
+    ///   left unscored.
+    /// * In a scored candidate's exact cost, an unsettled edge `(i, t)` is
+    ///   the strict maximum of a cycle of settled edges. Prim therefore
+    ///   never picks it, and its first-found parents do not change.
+    fn screens_within_source_radius(&self) -> bool {
+        true
+    }
 }
 
 impl<G: GraphView> IteratedBase<G> for Kmb {
@@ -109,11 +132,14 @@ impl<G: GraphView> IteratedBase<G> for Kmb {
         let mut star: Vec<(Weight, usize, usize)> = Vec::with_capacity(k);
         let mut uf = UnionFind::new(k + 1);
         price_below(pool, mst.cost, scored, |t| {
-            // `t` joins as node `k`, and is left unscored when the source
-            // cannot reach it, like an unspannable T ∪ {t}.
-            td.dist_to_node(0, t)?;
+            // `t` joins as node `k`, and is left unscored when no
+            // member's run settled it: it is unreachable, like an
+            // unspannable T ∪ {t}, or beyond every run's radius.
             star.clear();
             star.extend((0..k).filter_map(|i| Some((td.dist_to_node(i, t)?, i, k))));
+            if star.is_empty() {
+                return None;
+            }
             star.sort_unstable();
             // Kruskal over both ascending lists, merged, until all k + 1
             // nodes are joined.

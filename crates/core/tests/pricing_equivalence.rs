@@ -18,12 +18,14 @@
 //! Each check runs on full and target-restricted distances, and again
 //! after terminals are pushed.
 
+mod common;
+
 use std::sync::Mutex;
 
+use common::{grid, random_graph};
 use route_graph::mst::{kruskal_subgraph, prim_complete, SubgraphMst};
-use route_graph::random::random_connected_graph;
 use route_graph::rng::{Rng, SliceRandom, SplitMix64};
-use route_graph::{EdgeId, Graph, GraphError, GridGraph, NodeId, TerminalDistances, Weight};
+use route_graph::{EdgeId, Graph, GraphError, NodeId, TerminalDistances, Weight};
 use steiner_route::heuristic::IteratedBase;
 use steiner_route::{Dom, Kmb, RoutingTree, SteinerError};
 
@@ -35,54 +37,6 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// A weight within a few milli-units of `Weight::MAX`.
-fn near_max(rng: &mut SplitMix64) -> Weight {
-    Weight::from_milli(u64::MAX - rng.gen_range(0..4u64))
-}
-
-/// A random multigraph with zero-weight edges, and on some seeds weights
-/// near `Weight::MAX`, removed edges and removed nodes. It may be
-/// disconnected.
-fn random_graph(rng: &mut SplitMix64) -> Graph {
-    let n = rng.gen_range(6..22usize);
-    let m = rng.gen_range(n..3 * n);
-    let mut g = random_connected_graph(n, m, 1..5, rng).unwrap();
-    let edge = |rng: &mut SplitMix64| EdgeId::from_index(rng.gen_range(0..m));
-    for _ in 0..rng.gen_range(0..=n / 2) {
-        let e = edge(rng);
-        g.set_weight(e, Weight::ZERO).unwrap();
-    }
-    if rng.gen_range(0..4u32) == 0 {
-        for _ in 0..rng.gen_range(1..4u32) {
-            let (e, w) = (edge(rng), near_max(rng));
-            g.set_weight(e, w).unwrap();
-        }
-    }
-    for _ in 0..rng.gen_range(0..3u32) {
-        let e = edge(rng);
-        let _ = g.remove_edge(e);
-    }
-    if rng.gen_range(0..3u32) == 0 {
-        let v = NodeId::from_index(rng.gen_range(0..n));
-        let _ = g.remove_node(v);
-    }
-    g
-}
-
-/// A unit grid (every tie the router sees), with a few cells removed on
-/// some seeds.
-fn unit_grid(rng: &mut SplitMix64) -> Graph {
-    let (rows, cols) = (rng.gen_range(3..7usize), rng.gen_range(3..7usize));
-    let mut g = GridGraph::new(rows, cols, Weight::UNIT)
-        .unwrap()
-        .into_graph();
-    for _ in 0..rng.gen_range(0..3u32) {
-        let v = NodeId::from_index(rng.gen_range(0..rows * cols));
-        let _ = g.remove_node(v);
-    }
-    g
 }
 
 /// One pricing instance: a terminal set over `g` and the candidates it is
@@ -145,9 +99,9 @@ fn all_instances(mut check: impl FnMut(&Graph, &Instance, u64)) {
     for seed in 0..SEEDS {
         let mut rng = SplitMix64::seed_from_u64(seed);
         let g = if seed % 3 == 2 {
-            unit_grid(&mut rng)
+            grid(&mut rng, 7, false)
         } else {
-            random_graph(&mut rng)
+            random_graph(&mut rng, 22)
         };
         for inst in instances(&g, &mut rng) {
             check(&g, &inst, seed);
@@ -358,7 +312,7 @@ fn kmb_builds_the_path_expanded_tree_and_costs_it_without_building() {
 fn kruskal_subgraph_equals_the_whole_graph_array_version() {
     for seed in 0..SEEDS {
         let mut rng = SplitMix64::seed_from_u64(seed);
-        let g = random_graph(&mut rng);
+        let g = random_graph(&mut rng, 22);
         let m = g.edge_count();
         for _ in 0..4 {
             // Duplicates, removed edges, edges at removed nodes, and one

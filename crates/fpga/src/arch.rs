@@ -18,11 +18,20 @@ pub enum FcSpec {
 
 impl FcSpec {
     /// Resolves the flexibility for a concrete channel width.
-    #[must_use]
-    pub fn resolve(self, w: usize) -> usize {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FpgaError::InvalidArchitecture`] for a fraction with a
+    /// zero denominator or one whose `num · w` overflows.
+    pub fn resolve(self, w: usize) -> Result<usize, FpgaError> {
         match self {
-            FcSpec::Fraction { num, den } => (num * w).div_ceil(den).clamp(1, w),
-            FcSpec::Full => w,
+            FcSpec::Fraction { num, den } => match num.checked_mul(w) {
+                Some(scaled) if den != 0 => Ok(scaled.div_ceil(den).clamp(1, w)),
+                _ => Err(FpgaError::InvalidArchitecture(format!(
+                    "connection-block flexibility {num}/{den} of W = {w} cannot be resolved"
+                ))),
+            },
+            FcSpec::Full => Ok(w),
         }
     }
 }
@@ -126,8 +135,11 @@ impl ArchSpec {
     }
 
     /// The resolved connection-block flexibility for this width.
-    #[must_use]
-    pub fn fc_resolved(&self) -> usize {
+    ///
+    /// # Errors
+    ///
+    /// As [`FcSpec::resolve`].
+    pub fn fc_resolved(&self) -> Result<usize, FpgaError> {
         self.fc.resolve(self.channel_width)
     }
 
@@ -161,14 +173,7 @@ impl ArchSpec {
                 "blocks need at least one pin per side".into(),
             ));
         }
-        if let FcSpec::Fraction { num, den } = self.fc {
-            if den == 0 || num.checked_mul(self.channel_width).is_none() {
-                return Err(FpgaError::InvalidArchitecture(format!(
-                    "connection-block flexibility {num}/{den} of W = {} cannot be resolved",
-                    self.channel_width
-                )));
-            }
-        }
+        self.fc_resolved()?;
         let fits = |n: usize| u32::try_from(n).is_ok();
         if !self
             .graph_size()
@@ -201,7 +206,7 @@ impl ArchSpec {
         let straight = positions - rows - cols - 2;
         let turns = rows.checked_mul(cols)?.checked_mul(2)?;
         let extra = self.fs - 3;
-        let mut edges = pins.checked_mul(self.fc_resolved())?;
+        let mut edges = pins.checked_mul(self.fc_resolved().ok()?)?;
         for (class, pairs) in [straight, turns, turns].into_iter().enumerate() {
             // The class's offsets are 0 and 1..=k; an offset that W
             // divides would join a track to itself and adds no edge.
@@ -232,20 +237,42 @@ mod tests {
     #[test]
     fn fc_fraction_rounds_up() {
         let fc = FcSpec::Fraction { num: 3, den: 5 };
-        assert_eq!(fc.resolve(10), 6);
-        assert_eq!(fc.resolve(7), 5); // ceil(4.2)
-        assert_eq!(fc.resolve(1), 1);
-        assert_eq!(FcSpec::Full.resolve(9), 9);
+        assert_eq!(fc.resolve(10), Ok(6));
+        assert_eq!(fc.resolve(7), Ok(5)); // ceil(4.2)
+        assert_eq!(fc.resolve(1), Ok(1));
+        assert_eq!(FcSpec::Full.resolve(9), Ok(9));
+    }
+
+    #[test]
+    fn unresolvable_fc_fractions_are_errors() {
+        let zero_den = ArchSpec {
+            fc: FcSpec::Fraction { num: 3, den: 0 },
+            ..ArchSpec::xilinx3000(2, 2, 4)
+        };
+        assert!(matches!(
+            zero_den.fc_resolved(),
+            Err(FpgaError::InvalidArchitecture(_))
+        ));
+        let huge_num = FcSpec::Fraction {
+            num: usize::MAX,
+            den: 5,
+        };
+        assert!(matches!(
+            huge_num.resolve(2),
+            Err(FpgaError::InvalidArchitecture(_))
+        ));
+        // `usize::MAX · 1` does not overflow: it clamps to the width.
+        assert_eq!(huge_num.resolve(1), Ok(1));
     }
 
     #[test]
     fn presets_match_the_paper() {
         let x3 = ArchSpec::xilinx3000(12, 13, 10);
         assert_eq!(x3.fs, 6);
-        assert_eq!(x3.fc_resolved(), 6); // ceil(0.6 * 10)
+        assert_eq!(x3.fc_resolved(), Ok(6)); // ceil(0.6 * 10)
         let x4 = ArchSpec::xilinx4000(19, 17, 15);
         assert_eq!(x4.fs, 3);
-        assert_eq!(x4.fc_resolved(), 15);
+        assert_eq!(x4.fc_resolved(), Ok(15));
     }
 
     #[test]

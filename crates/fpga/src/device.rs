@@ -350,7 +350,7 @@ impl Device {
     /// different track subsets.
     fn add_connection_block_edges(&self, graph: &mut Graph) -> Result<(), FpgaError> {
         let w = self.arch.channel_width;
-        let fc = self.arch.fc_resolved();
+        let fc = self.arch.fc_resolved()?;
         for row in 0..self.arch.rows {
             for col in 0..self.arch.cols {
                 for side in Side::ALL {

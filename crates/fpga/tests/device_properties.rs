@@ -42,7 +42,7 @@ fn pin_fanout_equals_fc() {
         let mut arch = ArchSpec::xilinx4000(rows, cols, w);
         arch.fc = FcSpec::Fraction { num: frac, den: 4 };
         let device = Device::new(arch).unwrap();
-        let fc = arch.fc_resolved();
+        let fc = arch.fc_resolved().unwrap();
         for pin in device.pin_nodes() {
             let neighbors: Vec<_> = device.graph().neighbors(pin).collect();
             assert_eq!(neighbors.len(), fc, "seed {seed}");

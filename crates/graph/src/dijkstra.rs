@@ -28,6 +28,30 @@ const _: () = assert!(std::mem::size_of::<Entry>() == 16);
 /// The packed `(node, edge)` parent of a source: it has none.
 const NO_PARENT: (u32, u32) = (u32::MAX, u32::MAX);
 
+/// How far a run settles.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Reach<'a> {
+    /// The whole reachable component.
+    All,
+    /// Until every node of the list has settled.
+    Targets(&'a [NodeId]),
+    /// Every node of the list, then every further node no farther than
+    /// the floor or the last of them to settle, whichever is farther,
+    /// ties included.
+    Radius(&'a [NodeId], Weight),
+}
+
+/// What a query does after settling a node.
+#[derive(Debug, Clone, Copy)]
+enum Next {
+    /// Keep settling in distance order.
+    Continue,
+    /// Stop at once.
+    Stop,
+    /// From here on, settle only nodes no farther than this.
+    Within(Weight),
+}
+
 /// The result of a Dijkstra run from one source: distances and parent links
 /// for every settled live node.
 ///
@@ -79,7 +103,7 @@ impl ShortestPaths {
     /// Returns [`GraphError::NodeOutOfBounds`] or [`GraphError::NodeRemoved`]
     /// if the source is invalid.
     pub fn run<G: GraphView>(g: &G, source: NodeId) -> Result<ShortestPaths, GraphError> {
-        Self::run_in(g, source, None, &mut KernelScratch::new())
+        Self::run_in(g, source, Reach::All, &mut KernelScratch::new())
     }
 
     /// Runs Dijkstra from `source`, stopping early once every node in
@@ -94,7 +118,7 @@ impl ShortestPaths {
         source: NodeId,
         targets: &[NodeId],
     ) -> Result<ShortestPaths, GraphError> {
-        Self::run_in(g, source, Some(targets), &mut KernelScratch::new())
+        Self::run_in(g, source, Reach::Targets(targets), &mut KernelScratch::new())
     }
 
     /// Scratch-arena variant of [`run_to_targets`]: reuses the caller's
@@ -114,16 +138,15 @@ impl ShortestPaths {
         targets: &[NodeId],
         scratch: &mut KernelScratch,
     ) -> Result<ShortestPaths, GraphError> {
-        Self::run_in(g, source, Some(targets), scratch)
+        Self::run_in(g, source, Reach::Targets(targets), scratch)
     }
 
-    /// The query every entry point runs: from `source` until each node of
-    /// `targets` has settled, or over the whole reachable component when
-    /// `targets` is `None`, with all transient state in `scratch`.
+    /// The query every entry point runs: from `source` as far as `reach`
+    /// says, with all transient state in `scratch`.
     pub(crate) fn run_in<G: GraphView>(
         g: &G,
         source: NodeId,
-        targets: Option<&[NodeId]>,
+        reach: Reach<'_>,
         scratch: &mut KernelScratch,
     ) -> Result<ShortestPaths, GraphError> {
         g.require_live_node(source)?;
@@ -141,20 +164,30 @@ impl ShortestPaths {
         if flags.len() < n {
             flags.resize(n, false);
         }
+        let targets = match reach {
+            Reach::All => &[],
+            Reach::Targets(targets) | Reach::Radius(targets, _) => targets,
+        };
         let mut missing = 0usize;
-        for &t in targets.unwrap_or_default() {
+        for &t in targets {
             if t.index() < n && !flags[t.index()] {
                 flags[t.index()] = true;
                 missing += 1;
             }
         }
-        let watch = targets.is_some();
-        let done = |v: NodeId| {
+        let done = |v: NodeId, d: Weight| {
             if flags[v.index()] {
                 flags[v.index()] = false;
                 missing -= 1;
             }
-            watch && missing == 0
+            match reach {
+                Reach::All => Next::Continue,
+                _ if missing > 0 => Next::Continue,
+                Reach::Targets(_) => Next::Stop,
+                // Distances only grow, so once the last target has
+                // settled this bound is the same at every later node.
+                Reach::Radius(_, floor) => Next::Within(floor.max(d)),
+            }
         };
         search(g, source, state, done, |v, d, p| {
             out.dist[v] = d;
@@ -163,7 +196,7 @@ impl ShortestPaths {
         });
         // Leave the flag buffer all-false for the next query (early exit
         // clears settled targets; unsettled ones are cleared here).
-        for &t in targets.unwrap_or_default() {
+        for &t in targets {
             if t.index() < n {
                 flags[t.index()] = false;
             }
@@ -228,12 +261,14 @@ impl ShortestPaths {
     /// Iterates over all `(node, distance)` pairs that were settled, in
     /// ascending node order.
     ///
-    /// Under early termination the set stops at the last target to
-    /// settle: every node strictly closer than it has settled, but nodes
-    /// *tied* with it (same distance) may or may not have, since the
-    /// frontier breaks distance ties by node index. Callers of a
-    /// target-restricted run
-    /// should therefore read only its targets.
+    /// A target-restricted run stops at the last target to settle: every
+    /// node strictly closer than it has settled, but nodes *tied* with it
+    /// (same distance) may or may not have, since the frontier breaks
+    /// distance ties by node index. Callers of such a run should
+    /// therefore read only its targets. A radius run (the runs of
+    /// [`TerminalDistances::compute_to_radius`](crate::TerminalDistances::compute_to_radius))
+    /// closes the ties: it settles exactly the nodes no farther than its
+    /// radius, so a node it left unsettled is strictly farther.
     pub fn reached(&self) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
         (0..self.dist.len())
             .filter(|&i| self.is_settled(i))
@@ -327,13 +362,14 @@ impl KernelScratch {
 
 /// Runs one query over `state`: settles nodes from `source` in distance
 /// order, reporting each to `settle` as `(node index, distance, packed
-/// parent)`, until `done` returns `true` for a settled node or the
-/// frontier empties.
+/// parent)` and then to `done`, until `done` says [`Next::Stop`], the next
+/// node lies beyond the last [`Next::Within`] bound, or the frontier
+/// empties.
 fn search<G: GraphView>(
     g: &G,
     source: NodeId,
     state: &mut SearchState,
-    done: impl FnMut(NodeId) -> bool,
+    done: impl FnMut(NodeId, Weight) -> Next,
     settle: impl FnMut(usize, Weight, (u32, u32)),
 ) {
     // Monomorphize the hot loop on the instrumentation flag so the
@@ -352,7 +388,7 @@ fn search_impl<G: GraphView, const TRACED: bool>(
     g: &G,
     source: NodeId,
     state: &mut SearchState,
-    mut done: impl FnMut(NodeId) -> bool,
+    mut done: impl FnMut(NodeId, Weight) -> Next,
     mut settle: impl FnMut(usize, Weight, (u32, u32)),
 ) {
     // Tally locally and flush once at the end: a thread-local lookup
@@ -378,21 +414,29 @@ fn search_impl<G: GraphView, const TRACED: bool>(
     if TRACED {
         pushes += 1;
     }
+    // Distances saturate at `Weight::MAX`, so this bounds nothing.
+    let mut limit = Weight::MAX;
     while let Some(Reverse((d, vi))) = heap.pop() {
         let slot = &mut slots[vi as usize];
         if slot.stamp == settled {
             continue; // superseded: a cheaper entry already settled it
         }
         // Entries are pushed only on strict improvement, so the first
-        // entry of a node to pop is its current one.
+        // entry of a node to pop is its current one: every node still
+        // unsettled is at least this far.
+        if d > limit {
+            break;
+        }
         slot.stamp = settled;
         if TRACED {
             pops += 1;
         }
         settle(vi as usize, d, slot.parent);
         let v = NodeId(vi);
-        if done(v) {
-            break;
+        match done(v, d) {
+            Next::Continue => {}
+            Next::Stop => break,
+            Next::Within(bound) => limit = bound,
         }
         for (u, e, w) in g.neighbors(v) {
             if TRACED {
@@ -473,7 +517,14 @@ pub fn minpath_with<G: GraphView>(
     g.require_live_node(v)?;
     g.require_live_node(u)?;
     let state = &mut scratch.search;
-    search(g, u, state, |settled| settled == v, |_, _, _| {});
+    let done = |settled, _| {
+        if settled == v {
+            Next::Stop
+        } else {
+            Next::Continue
+        }
+    };
+    search(g, u, state, done, |_, _, _| {});
     state
         .settled_dist(v)
         .ok_or(GraphError::Disconnected { from: u, to: v })

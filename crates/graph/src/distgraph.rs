@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use crate::dijkstra::KernelScratch;
+use crate::dijkstra::{KernelScratch, Reach};
 use crate::view::GraphView;
 use crate::{GraphError, NodeId, Path, ShortestPaths, Weight};
 
@@ -29,7 +29,17 @@ use crate::{GraphError, NodeId, Path, ShortestPaths, Weight};
 /// Terminals can be appended with [`push_terminal`], which is how accepted
 /// Steiner points enter the working set of IGMST/IDOM.
 ///
+/// Each run goes as far as its constructor says: [`compute`] floods the
+/// whole component, [`compute_to_targets`] stops once a target set has
+/// settled, and [`compute_to_radius`] stops at the source's radius. Under
+/// the last, the distance between two members is settled only by the
+/// later of their two runs; [`dist`] reads whichever run settled it.
+///
 /// [`push_terminal`]: TerminalDistances::push_terminal
+/// [`compute`]: TerminalDistances::compute
+/// [`compute_to_targets`]: TerminalDistances::compute_to_targets
+/// [`compute_to_radius`]: TerminalDistances::compute_to_radius
+/// [`dist`]: TerminalDistances::dist
 ///
 /// # Example
 ///
@@ -51,13 +61,24 @@ use crate::{GraphError, NodeId, Path, ShortestPaths, Weight};
 pub struct TerminalDistances {
     terminals: Vec<NodeId>,
     sp: Vec<Rc<ShortestPaths>>,
-    /// When `Some`, every run was early-terminated once these nodes were
-    /// settled; distances outside the set may be absent. `None` means
-    /// full runs — distances to the whole live component are available.
-    targets: Option<Vec<NodeId>>,
+    /// How far every run, pushed ones included, settles.
+    extent: Extent,
     /// Kernel buffers shared by every per-terminal run and every
     /// [`push_terminal`](Self::push_terminal).
     scratch: KernelScratch,
+}
+
+/// How far the runs of a [`TerminalDistances`] settle.
+#[derive(Debug, Clone)]
+enum Extent {
+    /// The whole live component.
+    Full,
+    /// Until these nodes have settled; distances outside the set may be
+    /// absent.
+    Targets(Vec<NodeId>),
+    /// The source radius `R` of
+    /// [`compute_to_radius`](TerminalDistances::compute_to_radius).
+    Radius(Weight),
 }
 
 impl TerminalDistances {
@@ -72,7 +93,7 @@ impl TerminalDistances {
         g: &G,
         terminals: &[NodeId],
     ) -> Result<TerminalDistances, GraphError> {
-        Self::compute_inner(g, terminals, None)
+        Self::compute_inner(g, terminals, Extent::Full)
     }
 
     /// Like [`compute`](Self::compute), but each per-terminal Dijkstra
@@ -105,13 +126,45 @@ impl TerminalDistances {
         targets.extend(extra_targets.iter().copied().filter(|&v| g.is_node_live(v)));
         targets.sort_unstable();
         targets.dedup();
-        Self::compute_inner(g, terminals, Some(targets))
+        Self::compute_inner(g, terminals, Extent::Targets(targets))
+    }
+
+    /// Like [`compute`](Self::compute), but each run stops at the
+    /// source's radius `R`, the largest distance from `terminals[0]` to
+    /// another terminal.
+    ///
+    /// * The source's run settles every terminal, then every other node
+    ///   no farther than `R`.
+    /// * Every other run, and every later
+    ///   [`push_terminal`](Self::push_terminal) run, settles each member
+    ///   present when it starts, then every other node no farther than
+    ///   `R` or the farthest of those members, ties included.
+    ///
+    /// So a node that a run leaves unsettled is strictly farther than `R`
+    /// from that run's source, and every member pair is settled by the
+    /// later of its two runs. This is what lets the screened iterated
+    /// template stop its runs here for the bases that opt in
+    /// (`IteratedBaseInfo::screens_within_source_radius` in the
+    /// `steiner-route` crate): a candidate beyond `R` cannot change their
+    /// choices. If some terminal is unreachable from the source, every
+    /// run floods its component.
+    ///
+    /// # Errors
+    ///
+    /// As [`compute`](Self::compute).
+    pub fn compute_to_radius<G: GraphView>(
+        g: &G,
+        terminals: &[NodeId],
+    ) -> Result<TerminalDistances, GraphError> {
+        // The floor of the source's own run is zero: it stops at the
+        // farthest terminal, which is `R` by definition.
+        Self::compute_inner(g, terminals, Extent::Radius(Weight::ZERO))
     }
 
     fn compute_inner<G: GraphView>(
         g: &G,
         terminals: &[NodeId],
-        targets: Option<Vec<NodeId>>,
+        mut extent: Extent,
     ) -> Result<TerminalDistances, GraphError> {
         if terminals.is_empty() {
             return Err(GraphError::EmptyTerminalSet);
@@ -125,16 +178,26 @@ impl TerminalDistances {
             seen[t.index()] = true;
         }
         let mut scratch = KernelScratch::new();
-        let sp = terminals
-            .iter()
-            .map(|&t| {
-                ShortestPaths::run_in(g, t, targets.as_deref(), &mut scratch).map(Rc::new)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut sp = Vec::with_capacity(terminals.len());
+        for &t in terminals {
+            let run = ShortestPaths::run_in(g, t, extent.reach(terminals), &mut scratch)?;
+            if let Extent::Radius(r) = &mut extent {
+                if sp.is_empty() {
+                    // The source's run stopped at its farthest terminal:
+                    // that distance is R for every later run.
+                    *r = terminals
+                        .iter()
+                        .filter_map(|&u| run.dist(u))
+                        .max()
+                        .unwrap_or(Weight::ZERO);
+                }
+            }
+            sp.push(Rc::new(run));
+        }
         Ok(TerminalDistances {
             terminals: terminals.to_vec(),
             sp,
-            targets,
+            extent,
             scratch,
         })
     }
@@ -166,12 +229,18 @@ impl TerminalDistances {
     /// Distance-graph edge weight between terminals `i` and `j`, or `None`
     /// if they are disconnected.
     ///
+    /// Read from run `i`, or from run `j` if run `i` left `j` unsettled.
+    /// Weights are symmetric and saturating sums do not depend on their
+    /// order, so both runs agree wherever both settled.
+    ///
     /// # Panics
     ///
     /// Panics if `i` or `j` is not a valid terminal index.
     #[must_use]
     pub fn dist(&self, i: usize, j: usize) -> Option<Weight> {
-        self.sp[i].dist(self.terminals[j])
+        self.sp[i]
+            .dist(self.terminals[j])
+            .or_else(|| self.sp[j].dist(self.terminals[i]))
     }
 
     /// Distance from terminal `i` to an arbitrary node `v`.
@@ -184,11 +253,13 @@ impl TerminalDistances {
         self.sp[i].dist(v)
     }
 
-    /// Concrete shortest path between terminals `i` and `j`.
+    /// Concrete shortest path between terminals `i` and `j`, from run
+    /// `i`.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::Disconnected`] if no path exists.
+    /// Returns [`GraphError::Disconnected`] if no path exists, or if run
+    /// `i` stopped before `j`.
     ///
     /// # Panics
     ///
@@ -242,10 +313,17 @@ impl TerminalDistances {
         g.require_live_node(v)?;
         // A target-restricted instance keeps the restriction: the new
         // run stops at the same target set, so cross-queries between any
-        // two members (all members are targets) remain exact.
-        let run = ShortestPaths::run_in(g, v, self.targets.as_deref(), &mut self.scratch)?;
-        self.sp.push(Rc::new(run));
+        // two members (all members are targets) remain exact. A radius
+        // instance's new run settles every member, itself included.
         self.terminals.push(v);
+        let reach = self.extent.reach(&self.terminals);
+        match ShortestPaths::run_in(g, v, reach, &mut self.scratch) {
+            Ok(run) => self.sp.push(Rc::new(run)),
+            Err(e) => {
+                self.terminals.pop();
+                return Err(e);
+            }
+        }
         Ok(self.terminals.len() - 1)
     }
 
@@ -253,6 +331,17 @@ impl TerminalDistances {
     #[must_use]
     pub fn all_connected(&self) -> bool {
         (0..self.len()).all(|j| self.dist(0, j).is_some())
+    }
+}
+
+impl Extent {
+    /// How far a run that starts with `members` settles.
+    fn reach<'a>(&'a self, members: &'a [NodeId]) -> Reach<'a> {
+        match self {
+            Extent::Full => Reach::All,
+            Extent::Targets(targets) => Reach::Targets(targets),
+            Extent::Radius(r) => Reach::Radius(members, *r),
+        }
     }
 }
 
@@ -306,7 +395,7 @@ impl DistanceOracle {
         if let Some(sp) = self.cache.get(&source) {
             return Ok(Rc::clone(sp));
         }
-        let sp = Rc::new(ShortestPaths::run_in(g, source, None, &mut self.scratch)?);
+        let sp = Rc::new(ShortestPaths::run_in(g, source, Reach::All, &mut self.scratch)?);
         self.cache.insert(source, Rc::clone(&sp));
         Ok(sp)
     }

@@ -13,6 +13,10 @@
 //! * a [`TerminalDistances`] that reuses one scratch across its
 //!   per-terminal runs and repeated `push_terminal` calls against fresh
 //!   runs;
+//! * the runs of [`TerminalDistances::compute_to_radius`], pushed ones
+//!   included, against fresh runs: each settles exactly the nodes no
+//!   farther than its radius, so an unsettled node is farther than the
+//!   source's radius `R`, and both orders of every member pair agree;
 //! * a [`LaneView`]'s adjacency against its base graph, and, with masked
 //!   pins, discounts and a tilt, against a clone mutated the same way.
 
@@ -205,6 +209,87 @@ fn terminal_distances_reusing_one_scratch_equal_fresh_runs() {
             }
         }
     }
+}
+
+#[test]
+fn radius_runs_settle_exactly_the_nodes_within_their_radius() {
+    let mut pairs_only_later = 0usize;
+    let mut cut_short = 0usize;
+    for seed in 400..700u64 {
+        let mut g = mutated_graph(seed);
+        let mut rng = SplitMix64::seed_from_u64(seed ^ 0x4ad1);
+        // Zero-weight edges put whole groups of nodes at one distance.
+        for _ in 0..rng.gen_range(0..4u32) {
+            let e = EdgeId::from_index(rng.gen_range(0..g.edge_count().max(1)));
+            let _ = g.set_weight(e, Weight::ZERO);
+        }
+        let mut live: Vec<NodeId> = g.node_ids().collect();
+        if live.len() < 4 {
+            continue;
+        }
+        for i in (1..live.len()).rev() {
+            live.swap(i, rng.gen_range(0..=i));
+        }
+        let k = rng.gen_range(2..=live.len().min(6) - 1);
+        let (terminals, rest) = live.split_at(k);
+        let pushes = &rest[..rng.gen_range(0..=rest.len().min(3))];
+        let mut td = TerminalDistances::compute_to_radius(&g, terminals).unwrap();
+        for &v in pushes {
+            td.push_terminal(&g, v).unwrap();
+        }
+        let members = td.terminals().to_vec();
+        let fresh: Vec<ShortestPaths> = members
+            .iter()
+            .map(|&m| ShortestPaths::run(&g, m).unwrap())
+            .collect();
+        // R: the source's farthest terminal. A run stops at the farthest
+        // member present when it started, or at R if that is farther; a
+        // run with an unreachable member floods its component.
+        let farthest = |i: usize, upto: usize| {
+            members[..upto]
+                .iter()
+                .map(|&m| fresh[i].dist(m))
+                .try_fold(Weight::ZERO, |far, d| d.map(|d| far.max(d)))
+        };
+        let r = farthest(0, k);
+        for (i, run) in fresh.iter().enumerate() {
+            let radius = match (r, farthest(i, k.max(i + 1))) {
+                (Some(r), Some(own)) => Some(r.max(own)),
+                _ => None,
+            };
+            let label = format!("seed {seed} radius td[{i}]");
+            for v in g.node_ids() {
+                let within = radius.is_none_or(|radius| run.dist(v).is_some_and(|d| d <= radius));
+                if within {
+                    assert_same_route(run, td.shortest_paths(i), v, &label);
+                } else {
+                    assert_eq!(td.shortest_paths(i).dist(v), None, "{label}: {v}");
+                    let (Some(r), Some(d)) = (r, run.dist(v)) else {
+                        continue;
+                    };
+                    assert!(d > r, "{label}: {v} at {d:?} is no farther than R = {r:?}");
+                    cut_short += 1;
+                }
+            }
+        }
+        for i in 0..members.len() {
+            for j in 0..members.len() {
+                let want = fresh[i].dist(members[j]);
+                assert_eq!(td.dist(i, j), want, "seed {seed}: dist({i}, {j})");
+                assert_eq!(td.dist(j, i), want, "seed {seed}: dist({j}, {i})");
+                if i < j {
+                    // The later run settles the pair whenever it is
+                    // connected; the earlier one may not.
+                    assert_eq!(td.shortest_paths(j).dist(members[i]), want, "seed {seed}");
+                    pairs_only_later += usize::from(
+                        want.is_some() && td.shortest_paths(i).dist(members[j]).is_none(),
+                    );
+                }
+            }
+        }
+    }
+    assert!(cut_short > 1000, "runs must stop short: {cut_short}");
+    assert!(pairs_only_later > 100, "pushed members must lie beyond R: {pairs_only_later}");
 }
 
 #[test]

@@ -35,7 +35,9 @@ pub enum Counter {
     PfaFolds,
     /// Dominance tests performed by PFA's `MaxDom` scans.
     PfaDominanceChecks,
-    /// Sink-to-dominated-node connections priced or built by DOM.
+    /// Sink-to-dominated-node connections priced or built by DOM. A
+    /// screened round over radius runs leaves the candidates beyond the
+    /// source's radius unpriced, so they add none.
     DomConnections,
     /// Whole nets routed (every attempt, in either routing mode).
     NetsRouted,

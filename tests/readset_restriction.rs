@@ -8,9 +8,10 @@
 //! the whole component to break ties would be caught here.
 
 use fpga_route::graph::rng::{Rng, SplitMix64};
-use fpga_route::graph::{GridGraph, NodeId, Weight};
+use fpga_route::graph::{Graph, GridGraph, NodeId, TerminalDistances, Weight};
 use fpga_route::steiner::{
-    CandidatePool, Iterated, IteratedConfig, Kmb, Net, Pfa, SteinerHeuristic, Zel,
+    CandidatePool, Dom, Iterated, IteratedBase, IteratedConfig, Kmb, Net, Pfa,
+    SteinerHeuristic, Zel,
 };
 use fpga_route::trace::{Collector, Counter};
 
@@ -131,6 +132,56 @@ fn unrestricted_scans_read_more_than_pooled_scans() {
             restricted < full,
             "{}: pooled run popped {restricted} nodes, unrestricted {full}",
             pooled.name()
+        );
+    }
+}
+
+/// Heap pops of a screened `Iterated` construction over `pool`, and of
+/// the runs that settle `pool` from the same members: the terminals and
+/// every Steiner point the construction accepted.
+fn screened_and_pool_pops<H>(base: H, grid: &GridGraph, net: &Net, pool: &[NodeId]) -> (u64, u64)
+where
+    H: IteratedBase<Graph>,
+{
+    let config = IteratedConfig {
+        pool: CandidatePool::Explicit(pool.to_vec()),
+        screened: true,
+        ..IteratedConfig::default()
+    };
+    let g = grid.graph();
+    let collector = Collector::install();
+    let outcome = Iterated::with_config(base, config)
+        .construct_traced(g, net)
+        .unwrap();
+    let screened = collector.finish().counters.get(Counter::DijkstraHeapPops);
+    assert!(outcome.tree.spans(net));
+    assert!(!outcome.steiner_points.is_empty(), "the construction must push points");
+    let collector = Collector::install();
+    let mut td = TerminalDistances::compute_to_targets(g, net.terminals(), pool).unwrap();
+    for &s in &outcome.steiner_points {
+        td.push_terminal(g, s).unwrap();
+    }
+    let pool_runs = collector.finish().counters.get(Counter::DijkstraHeapPops);
+    (screened, pool_runs)
+}
+
+#[test]
+fn screened_constructions_settle_less_than_pool_runs() {
+    // The router's IKMB and IDOM run screened over the region pool, so
+    // each of their runs stops at the source's radius instead of at the
+    // last pool node: they settle strictly fewer nodes than runs that
+    // settle the pool from the same members.
+    let _gate = serial();
+    let grid = congested_grid();
+    let net = corner_net(&grid);
+    let pool = region_pool(&grid);
+    for (name, (screened, pool_runs)) in [
+        ("IKMB", screened_and_pool_pops(Kmb::new(), &grid, &net, &pool)),
+        ("IDOM", screened_and_pool_pops(Dom::new(), &grid, &net, &pool)),
+    ] {
+        assert!(
+            screened < pool_runs,
+            "{name}: the construction popped {screened} nodes, the pool runs {pool_runs}"
         );
     }
 }
