@@ -76,8 +76,9 @@ fi
 
 # Fails unless the `dijkstra_heap_pops` line of the `--metrics` summary
 # in $1 is at most $2. The count repeats exactly from run to run, so a
-# construction whose distance runs flood the candidate pool again (IKMB
-# and IDOM stop each run at the source's radius) fails here.
+# construction whose distance runs go farther again fails here: IKMB
+# stops each run after the source's at the terminals' MST bottleneck,
+# IDOM each run at the source's radius.
 require_heap_pops_at_most() {
     local pops
     pops="$(awk '$1 == "dijkstra_heap_pops" { print $2 }' <<< "$1")"
@@ -99,8 +100,9 @@ if ! grep -Eq 'minimum channel width 7 with .* \([1-5] routing attempts' <<< "$w
     echo "width smoke: expected W = 7 in at most 5 routing attempts" >&2
     exit 1
 fi
-# About 2.30 M with radius-stopped runs, 4.84 M when they flood the pool.
-require_heap_pops_at_most "$width_out" 3000000 "width smoke"
+# About 1.50 M with bottleneck-stopped runs, 2.30 M with radius-stopped
+# runs, 4.84 M when they flood the pool.
+require_heap_pops_at_most "$width_out" 1800000 "width smoke"
 ./target/release/fpga_route trace-check "$trace_file"
 grep -q '"mode":"stream"' "$trace_file"
 grep -q '"type":"span"' "$trace_file"

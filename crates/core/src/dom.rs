@@ -13,7 +13,7 @@ use route_graph::{EdgeId, GraphError, GraphView, NodeId, TerminalDistances, Weig
 use crate::dominance::dominates;
 use crate::heuristic::{
     construct_via_base, price_below, require_connected, HeuristicInfo, IteratedBase,
-    IteratedBaseInfo, SteinerHeuristic,
+    IteratedBaseInfo, ScreenedRuns, SteinerHeuristic,
 };
 use crate::subgraph::spt_over_edges;
 use crate::{Net, RoutingTree, SteinerError};
@@ -183,7 +183,8 @@ impl IteratedBaseInfo for Dom {
     }
 
     /// DOM never needs a distance above `R`, which is also the largest
-    /// source distance of any member.
+    /// source distance of any member. It prices by source distance, so it
+    /// needs every member's: its runs do not stop at the bottleneck.
     ///
     /// * A candidate priced below the reference must be some member's
     ///   parent, so its source distance is below `R`. `screen_round`
@@ -196,8 +197,8 @@ impl IteratedBaseInfo for Dom {
     ///   `build_with` walks the same parents.
     /// * A value a run left unsettled is larger than `R`, so it fails the
     ///   dominance test, as it does on runs that settle the whole pool.
-    fn screens_within_source_radius(&self) -> bool {
-        true
+    fn screened_runs(&self) -> ScreenedRuns {
+        ScreenedRuns::SourceRadius
     }
 }
 

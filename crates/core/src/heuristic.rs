@@ -78,26 +78,46 @@ pub trait IteratedBaseInfo {
         &[]
     }
 
-    /// Whether screened rounds over an explicit candidate pool may run on
-    /// [`TerminalDistances::compute_to_radius`] instead of on runs that
-    /// settle the whole pool.
+    /// How far each distance run of a screened round over an explicit
+    /// candidate pool goes.
     ///
-    /// Those runs stop at the source's radius `R`, the largest distance
-    /// from the source to a terminal. The template's half of the proof is
-    /// that every run, pushed ones included, settles each node no farther
-    /// than `R` from its source, so a value a run leaves out is larger
-    /// than `R`, and that each member pair is settled by the later of its
-    /// two runs. A base that returns `true` supplies the other half: with
-    /// such values left out, its
+    /// [`ScreenedRuns::PoolTargets`], the default, keeps the runs that
+    /// settle the whole pool. The other two stop earlier, at a bound (`R`
+    /// or `M(N)`), and the template's half of their proof is what their
+    /// [`TerminalDistances`] constructor guarantees: every run, pushed
+    /// ones included, settles each node within that bound, ties included,
+    /// with the full run's distances and parents, so a value a run leaves
+    /// out is larger than the bound. A base that picks one of them
+    /// supplies the other half: with such values left out, its
     /// [`screen_round`](IteratedBase::screen_round) scores the same
     /// candidates at the same prices, and its
     /// [`cost_with`](IteratedBase::cost_with) (of the reference and of
     /// every scored candidate) and [`build_with`](IteratedBase::build_with)
-    /// of the member set return the same trees and costs. KMB and DOM
-    /// opt in; each states its proof on its own implementation.
-    fn screens_within_source_radius(&self) -> bool {
-        false
+    /// of the member set return the same trees and costs. DOM picks the
+    /// source's radius and KMB the bottleneck; each states its proof on
+    /// its own implementation.
+    fn screened_runs(&self) -> ScreenedRuns {
+        ScreenedRuns::PoolTargets
     }
+}
+
+/// How far the distance runs of screened rounds over an explicit
+/// candidate pool go; see [`IteratedBaseInfo::screened_runs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScreenedRuns {
+    /// Until every terminal and pool node has settled
+    /// ([`TerminalDistances::compute_to_targets`]), or over the whole
+    /// component for a base without
+    /// [`supports_target_restricted_distances`](IteratedBaseInfo::supports_target_restricted_distances).
+    PoolTargets,
+    /// To the source's radius `R`, the largest distance from the source
+    /// to a terminal ([`TerminalDistances::compute_to_radius`]). A member
+    /// pair is settled by the later of its two runs.
+    SourceRadius,
+    /// To the terminals' MST bottleneck `M(N)`
+    /// ([`TerminalDistances::compute_to_bottleneck`]). A member pair
+    /// farther apart than `M(N)` may be settled by neither run.
+    Bottleneck,
 }
 
 /// A heuristic `H` usable inside the iterated IGMST/IDOM template
@@ -196,12 +216,15 @@ pub(crate) fn price_below(
     }
 }
 
-/// Verifies that all of `td`'s terminals are mutually reachable and that
-/// some terminal's run reached the optional candidate, returning the first
-/// offending pair (from terminal 0) otherwise.
+/// Verifies that the settled pairs of `td` connect its members
+/// ([`TerminalDistances::all_connected`]) and that some member's run
+/// reached the optional candidate, returning an offending pair from
+/// terminal 0 otherwise.
 ///
-/// Any terminal will do for the candidate: runs that stop at the source's
-/// radius may leave a reachable candidate to the other runs.
+/// Neither check may read the source's run alone: runs that stop at the
+/// terminals' MST bottleneck can leave a member or a reachable candidate
+/// farther than the source's radius, settled only by another member's
+/// run.
 ///
 /// # Errors
 ///
@@ -211,14 +234,13 @@ pub(crate) fn require_connected(
     candidate: Option<NodeId>,
 ) -> Result<(), SteinerError> {
     let t0 = td.terminals()[0];
-    for j in 1..td.len() {
-        if td.dist(0, j).is_none() {
-            return Err(GraphError::Disconnected {
-                from: t0,
-                to: td.terminals()[j],
-            }
-            .into());
-        }
+    if !td.all_connected() {
+        // Some member outside terminal 0's component has no settled
+        // pair with it.
+        let to = (1..td.len())
+            .find(|&j| td.dist(0, j).is_none())
+            .map_or(t0, |j| td.terminals()[j]);
+        return Err(GraphError::Disconnected { from: t0, to }.into());
     }
     if let Some(c) = candidate {
         if (0..td.len()).all(|i| td.dist_to_node(i, c).is_none()) {

@@ -20,7 +20,7 @@ use route_graph::{GraphView, NodeId, TerminalDistances, Weight};
 use route_trace::Metric;
 
 use crate::heuristic::{
-    price_below, HeuristicInfo, IteratedBase, IteratedBaseInfo, SteinerHeuristic,
+    price_below, HeuristicInfo, IteratedBase, IteratedBaseInfo, ScreenedRuns, SteinerHeuristic,
 };
 use crate::{Net, RoutingTree, SteinerError};
 
@@ -154,20 +154,27 @@ impl<H: IteratedBaseInfo> Iterated<H> {
     {
         net.validate_in(g)?;
         // With an explicit candidate pool, each Dijkstra can stop early.
-        // Screened rounds of a base that prices within the source's
-        // radius stop there (see `IteratedBaseInfo::
-        // screens_within_source_radius`). Otherwise a base whose queries
-        // stay within `terminals ∪ pool` stops once that set is settled:
-        // accepted Steiner points come from the pool, so every future
-        // member-pair query hits a settled node. Either way every tree
-        // is bit-identical to full runs; only the flooded area shrinks.
-        let mut td = match &self.config.pool {
-            CandidatePool::Explicit(_)
-                if self.config.screened && self.base.screens_within_source_radius() =>
-            {
+        // Screened rounds stop where the base says
+        // (`IteratedBaseInfo::screened_runs`): at the source's radius, at
+        // the terminals' MST bottleneck, or once `terminals ∪ pool` has
+        // settled. The last serves any base whose queries stay within
+        // that set: accepted Steiner points come from the pool, so every
+        // future member-pair query hits a settled node. Either way every
+        // tree is bit-identical to full runs; only the flooded area
+        // shrinks.
+        let runs = if self.config.screened {
+            self.base.screened_runs()
+        } else {
+            ScreenedRuns::PoolTargets
+        };
+        let mut td = match (&self.config.pool, runs) {
+            (CandidatePool::Explicit(_), ScreenedRuns::SourceRadius) => {
                 TerminalDistances::compute_to_radius(g, net.terminals())?
             }
-            CandidatePool::Explicit(nodes)
+            (CandidatePool::Explicit(_), ScreenedRuns::Bottleneck) => {
+                TerminalDistances::compute_to_bottleneck(g, net.terminals())?
+            }
+            (CandidatePool::Explicit(nodes), ScreenedRuns::PoolTargets)
                 if self.base.supports_target_restricted_distances() =>
             {
                 // The base may declare scan nodes of its own (ZEL's

@@ -15,7 +15,7 @@ use route_graph::{EdgeId, GraphError, GraphView, NodeId, TerminalDistances, Weig
 
 use crate::heuristic::{
     construct_via_base, price_below, require_connected, HeuristicInfo, IteratedBase,
-    IteratedBaseInfo, SteinerHeuristic,
+    IteratedBaseInfo, ScreenedRuns, SteinerHeuristic,
 };
 use crate::{Net, RoutingTree, SteinerError};
 
@@ -79,27 +79,38 @@ impl IteratedBaseInfo for Kmb {
         true
     }
 
-    /// KMB never needs a distance above `R`. Let `M(T)` be the heaviest
-    /// edge of the distance-graph MST over the member set `T`, and `N`
-    /// the terminals. Removing that edge from MST(`N`) splits `N` in two,
-    /// and every pair across the split is at least `M(N)` apart. The
-    /// source has a terminal on the far side, so `R ≥ M(N)`.
+    /// KMB never decides on a distance above `M(N)`, the heaviest edge of
+    /// the distance-graph MST over the terminals `N`, so its screened runs
+    /// stop there. Let `M(T)` be the same bottleneck over the member set
+    /// `T`. Every run settles each node within `M(N)`, ties included, with
+    /// the full run's parent chain, so a member pair or star edge that no
+    /// run settled is longer than `M(N)`.
     ///
-    /// * A candidate priced below MST(`T`) joins only through star edges
-    ///   lighter than `M(T)`, because tree edges win ties in the merged
-    ///   Kruskal of `screen_round`. So accepted points never raise `M`,
-    ///   and every MST edge between members is at most `R`: both of its
-    ///   runs settled it, and its expansion walks the same parents.
-    /// * An unsettled star edge is longer than `R`, so it sorts after
-    ///   every tree edge and every settled star edge; Kruskal never needs
-    ///   it to price a candidate below MST(`T`). A candidate that no
-    ///   member's run settled could only price above MST(`T`), so it is
-    ///   left unscored.
-    /// * In a scored candidate's exact cost, an unsettled edge `(i, t)` is
-    ///   the strict maximum of a cycle of settled edges. Prim therefore
-    ///   never picks it, and its first-found parents do not change.
-    fn screens_within_source_radius(&self) -> bool {
-        true
+    /// * Accepted points never raise `M`. A candidate priced below
+    ///   MST(`T`) joins through a star edge lighter than `M(T)`, because
+    ///   tree edges win ties in the merged Kruskal of `screen_round`. So
+    ///   MST(`T`) plus one such edge per point accepted in the round spans
+    ///   the grown set `T'` within `M(T)`, and a scored `t` still joins
+    ///   `T'` the same way: `M(T' ∪ {t}) ≤ M(T) ≤ M(N)` through every
+    ///   batched acceptance and every round.
+    /// * Prim picks the same edges. In the round's reference, the final
+    ///   build and every scored candidate's exact cost, each pick is an MST
+    ///   edge, at most `M(N)`; a pair heavier than `M(N)` is never the
+    ///   minimum key across the cut. Every pair within `M(N)` is settled,
+    ///   and `prim_complete` treats a missing pair as absent, so it picks
+    ///   the same edges with the same first-found parents. Both runs of a
+    ///   picked pair settled it, so the expansion walks the same parents.
+    /// * The screen scores the same set at the same prices. In
+    ///   `screen_round`'s merged Kruskal a missing star edge sorts after
+    ///   every tree edge. Removing edges can only raise an MST, so an
+    ///   unscored candidate stays unscored, and a scored one's MST uses
+    ///   only settled edges, so its price does not change.
+    ///
+    /// An accepted point can lie farther than `R` from the source, where
+    /// neither the source's run nor its own settles their pair, so
+    /// `require_connected` reads connectivity from the settled pairs.
+    fn screened_runs(&self) -> ScreenedRuns {
+        ScreenedRuns::Bottleneck
     }
 }
 
@@ -112,6 +123,16 @@ impl<G: GraphView> IteratedBase<G> for Kmb {
     /// `k − 1` edges plus `t`'s `k` star edges, so Kruskal over those
     /// `2k − 1` edges, in buffers reused across the round, gives the same
     /// weight as an MST over the complete distance graph of `T ∪ {t}`.
+    ///
+    /// Tree edges win ties, so Kruskal takes a star edge after `t`'s first
+    /// only in place of a heavier tree edge: below `M(T)`, the heaviest
+    /// edge of MST(`T`). A candidate with fewer than two star edges
+    /// strictly lighter than `M(T)` prices at MST(`T`) plus its lightest
+    /// star edge, never below the reference, so it is left unscored
+    /// without a sort or a Kruskal. The rest join through a lighter star
+    /// edge, and the star edges no lighter than `M(T)` sort after every
+    /// tree edge, so Kruskal is done before it reaches them: they are
+    /// left out.
     fn screen_round(
         &self,
         _g: &G,
@@ -129,15 +150,19 @@ impl<G: GraphView> IteratedBase<G> for Kmb {
             .map(|(&w, &(i, j))| (w, i, j))
             .collect();
         tree.sort_unstable();
+        let bottleneck = tree.last().map_or(Weight::ZERO, |&(w, ..)| w);
         let mut star: Vec<(Weight, usize, usize)> = Vec::with_capacity(k);
         let mut uf = UnionFind::new(k + 1);
         price_below(pool, mst.cost, scored, |t| {
-            // `t` joins as node `k`, and is left unscored when no
-            // member's run settled it: it is unreachable, like an
-            // unspannable T ∪ {t}, or beyond every run's radius.
+            // `t` joins as node `k`. A star edge its member's run left
+            // unsettled is longer than that run's bound, so than M(T):
+            // leaving it out changes nothing.
             star.clear();
-            star.extend((0..k).filter_map(|i| Some((td.dist_to_node(i, t)?, i, k))));
-            if star.is_empty() {
+            star.extend((0..k).filter_map(|i| {
+                let d = td.dist_to_node(i, t)?;
+                (d < bottleneck).then_some((d, i, k))
+            }));
+            if star.len() < 2 {
                 return None;
             }
             star.sort_unstable();

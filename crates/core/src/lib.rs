@@ -75,7 +75,9 @@ pub use congestion::NegotiatedPricing;
 pub use djka::Djka;
 pub use dom::Dom;
 pub use error::SteinerError;
-pub use heuristic::{HeuristicInfo, IteratedBase, IteratedBaseInfo, SteinerHeuristic};
+pub use heuristic::{
+    HeuristicInfo, IteratedBase, IteratedBaseInfo, ScreenedRuns, SteinerHeuristic,
+};
 pub use idom::{idom, idom_with_config, Idom};
 pub use igmst::{ikmb, izel, CandidatePool, Iterated, IteratedConfig, IteratedOutcome};
 pub use kmb::Kmb;

@@ -16,7 +16,11 @@
 //! * `kruskal_subgraph` equals a Kruskal over whole-graph arrays.
 //!
 //! Each check runs on full and target-restricted distances, and again
-//! after terminals are pushed.
+//! after terminals are pushed. The KMB checks also run on bottleneck
+//! distances (`TerminalDistances::compute_to_bottleneck`), grown by
+//! candidates a round scored, against references computed from full runs
+//! from the same members; there the exact cost is compared for the
+//! candidates the round scores, the only ones the template costs.
 
 mod common;
 
@@ -44,12 +48,24 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 struct Instance {
     td: TerminalDistances,
     pool: Vec<NodeId>,
+    /// Full runs from the same members when `td` holds bottleneck runs:
+    /// the KMB references are computed from these.
+    full: Option<TerminalDistances>,
+}
+
+impl Instance {
+    /// The distances a reference is computed from.
+    fn reference_td(&self) -> &TerminalDistances {
+        self.full.as_ref().unwrap_or(&self.td)
+    }
 }
 
 /// Terminal sets over `g`: full distances with every live non-terminal as
 /// a candidate, and distances restricted to a random pool. Each is
 /// returned as built and again after one or two pool members were pushed
-/// as terminals.
+/// as terminals. Then bottleneck distances over every live non-terminal,
+/// as built and again after one or two candidates that their first round
+/// scored were pushed, as a batched round accepts them.
 fn instances(g: &Graph, rng: &mut SplitMix64) -> Vec<Instance> {
     let mut live: Vec<NodeId> = g.node_ids().collect();
     if live.len() < 3 {
@@ -69,16 +85,19 @@ fn instances(g: &Graph, rng: &mut SplitMix64) -> Vec<Instance> {
     let full = Instance {
         td: TerminalDistances::compute(g, terminals).unwrap(),
         pool: rest.to_vec(),
+        full: None,
     };
     let restricted = Instance {
         td: TerminalDistances::compute_to_targets(g, terminals, &restricted_pool).unwrap(),
         pool: restricted_pool,
+        full: None,
     };
     let mut out = Vec::new();
     for base in [full, restricted] {
         let mut grown = Instance {
             td: base.td.clone(),
             pool: base.pool.clone(),
+            full: None,
         };
         for _ in 0..rng.gen_range(1..3u32) {
             if grown.pool.len() < 2 {
@@ -91,6 +110,33 @@ fn instances(g: &Graph, rng: &mut SplitMix64) -> Vec<Instance> {
         out.push(base);
         out.push(grown);
     }
+    let neck = Instance {
+        td: TerminalDistances::compute_to_bottleneck(g, terminals).unwrap(),
+        pool: rest.to_vec(),
+        full: Some(TerminalDistances::compute(g, terminals).unwrap()),
+    };
+    let mut scored = Vec::new();
+    if Kmb::new()
+        .screen_round(g, &neck.td, &neck.pool, &mut scored)
+        .is_ok()
+        && !scored.is_empty()
+    {
+        let mut grown = Instance {
+            td: neck.td.clone(),
+            pool: neck.pool.clone(),
+            full: neck.full.clone(),
+        };
+        scored.shuffle(rng);
+        for &(_, t) in &scored[..scored.len().min(rng.gen_range(1..3usize))] {
+            grown.pool.retain(|&v| v != t);
+            grown.td.push_terminal(g, t).unwrap();
+            if let Some(full) = &mut grown.full {
+                full.push_terminal(g, t).unwrap();
+            }
+        }
+        out.push(grown);
+    }
+    out.push(neck);
     out
 }
 
@@ -248,15 +294,39 @@ fn path_expanded_tree(
 fn kmb_round_equals_per_candidate_complete_msts() {
     let _gate = serial();
     let mut scored = 0usize;
+    let (mut on_bottleneck, mut cut_star) = (0usize, 0usize);
     all_instances(|g, inst, seed| {
-        let reference = reference_round(complete_mst_price(&inst.td, None), &inst.pool, |t| {
-            complete_mst_price(&inst.td, Some(t))
+        let td = inst.reference_td();
+        let reference = reference_round(complete_mst_price(td, None), &inst.pool, |t| {
+            complete_mst_price(td, Some(t))
         });
         let screened = screened_round(&Kmb::new(), g, inst);
         assert_eq!(screened, reference, "seed {seed}");
-        scored += screened.map_or(0, |s| s.len());
+        let n = screened.map_or(0, |s| s.len());
+        scored += n;
+        if inst.full.is_some() {
+            on_bottleneck += n;
+            // Candidates with a star edge that a bottleneck run left out.
+            cut_star += inst
+                .pool
+                .iter()
+                .filter(|&&t| {
+                    (0..inst.td.len()).any(|i| {
+                        inst.td.dist_to_node(i, t).is_none() && td.dist_to_node(i, t).is_some()
+                    })
+                })
+                .count();
+        }
     });
     assert!(scored > 200, "the suite must score candidates ({scored})");
+    assert!(
+        on_bottleneck > 40,
+        "the suite must score on bottleneck runs ({on_bottleneck})"
+    );
+    assert!(
+        cut_star > 1000,
+        "bottleneck runs must leave star edges out ({cut_star})"
+    );
 }
 
 #[test]
@@ -265,6 +335,9 @@ fn dom_round_equals_per_candidate_exact_costs() {
     let dom = Dom::new();
     let mut scored = 0usize;
     all_instances(|g, inst, seed| {
+        if inst.full.is_some() {
+            return; // DOM's runs stop at the source's radius.
+        }
         let td = &inst.td;
         let reference = reference_round(dom.cost_with(g, td, None).ok(), &inst.pool, |t| {
             dom.cost_with(g, td, Some(t)).ok()
@@ -281,11 +354,22 @@ fn kmb_builds_the_path_expanded_tree_and_costs_it_without_building() {
     let _gate = serial();
     let kmb = Kmb::new();
     let mut errors = 0usize;
+    let mut on_bottleneck = 0usize;
     all_instances(|g, inst, seed| {
         let td = &inst.td;
-        let candidates = std::iter::once(None).chain(inst.pool.iter().copied().map(Some));
-        for candidate in candidates {
-            let expected = path_expanded_tree(g, td, candidate);
+        let candidates: Vec<NodeId> = match inst.full {
+            None => inst.pool.clone(),
+            Some(_) => screened_round(&kmb, g, inst)
+                .into_iter()
+                .flatten()
+                .map(|(_, t)| t)
+                .collect(),
+        };
+        if inst.full.is_some() {
+            on_bottleneck += candidates.len();
+        }
+        for candidate in std::iter::once(None).chain(candidates.into_iter().map(Some)) {
+            let expected = path_expanded_tree(g, inst.reference_td(), candidate);
             let built = kmb.build_with(g, td, candidate);
             let cost = kmb.cost_with(g, td, candidate);
             match (&expected, &built) {
@@ -306,6 +390,10 @@ fn kmb_builds_the_path_expanded_tree_and_costs_it_without_building() {
         }
     });
     assert!(errors > 0, "the suite must reach disconnected sets");
+    assert!(
+        on_bottleneck > 40,
+        "the suite must cost on bottleneck runs ({on_bottleneck})"
+    );
 }
 
 #[test]
@@ -347,14 +435,16 @@ fn rounds_count_what_the_per_candidate_loops_counted() {
             )
         };
         let per_candidate = tally(&|| {
-            if dom.cost_with(g, td, None).is_ok() {
+            if inst.full.is_none() && dom.cost_with(g, td, None).is_ok() {
                 for &t in &inst.pool {
                     let _ = dom.cost_with(g, td, Some(t));
                 }
             }
         });
         let per_round = tally(&|| {
-            let _ = dom.screen_round(g, td, &inst.pool, &mut Vec::new());
+            if inst.full.is_none() {
+                let _ = dom.screen_round(g, td, &inst.pool, &mut Vec::new());
+            }
         });
         assert_eq!(per_round, per_candidate, "seed {seed}: DOM");
         for candidate in std::iter::once(None).chain(inst.pool.iter().copied().map(Some)) {

@@ -1,12 +1,17 @@
 //! Screened iterated constructions over an explicit candidate pool stop
-//! each distance run at the source's radius
-//! (`TerminalDistances::compute_to_radius`). This suite checks that they
-//! build exactly what the same screened loop builds over runs that
-//! settle the whole pool (`TerminalDistances::compute_to_targets`): the
-//! same tree edge for edge, the same Steiner points in the same order,
-//! the same number of rounds, and the same errors. It also runs that
-//! loop over both kinds of runs side by side: every round must score the
-//! same candidates at the same prices, and every exact cost must agree.
+//! each distance run early: IDOM at the source's radius
+//! (`TerminalDistances::compute_to_radius`), IKMB at the terminals' MST
+//! bottleneck (`TerminalDistances::compute_to_bottleneck`). This suite
+//! checks that they build exactly what the same screened loop builds over
+//! runs that settle the whole pool (`TerminalDistances::compute_to_targets`):
+//! the same tree edge for edge, the same Steiner points in the same order,
+//! the same number of rounds, and the same errors. It also runs that loop
+//! over both kinds of runs side by side: every round must score the same
+//! candidates at the same prices, and every exact cost must agree. After
+//! each IKMB construction it checks the bottleneck runs, pushed ones
+//! included, against full runs: each settles every node within `M(N)`,
+//! ties included, with the full run's distance and parent, the final
+//! bound is `M(N)`, and every member pair reads the same both ways.
 //!
 //! The instances are seeded:
 //!
@@ -24,13 +29,16 @@
 mod common;
 
 use common::{grid, random_graph};
+use route_graph::mst::prim_complete;
 use route_graph::rng::{Rng, SliceRandom, SplitMix64};
 use route_graph::{
     EdgeId, Graph, GraphView, LaneRules, LaneView, LiveLane, NodeId, ShortestPaths,
     TerminalDistances, Weight,
 };
 use steiner_route::heuristic::IteratedBase;
-use steiner_route::{CandidatePool, Dom, Iterated, IteratedConfig, Kmb, Net, SteinerError};
+use steiner_route::{
+    CandidatePool, Dom, Iterated, IteratedConfig, Kmb, Net, ScreenedRuns, SteinerError,
+};
 
 const SEEDS: u64 = 1500;
 
@@ -183,15 +191,87 @@ struct Reached {
     truncated: usize,
     /// Scored candidates that the source's radius run left unsettled.
     beyond_source_radius: usize,
-    /// Member pairs that only the later of their two runs settled.
-    later_run_only: usize,
+    /// Member pairs that only one of their two runs settled.
+    one_run_only: usize,
+    /// Member pairs that neither of their bottleneck runs settled.
+    neither_run: usize,
+    /// Accepted Steiner points whose pair with the source neither
+    /// bottleneck run settled: a connectivity test that read the
+    /// source's run alone would call them disconnected.
+    accepted_beyond_source: usize,
+}
+
+/// The runs the template makes for `base`: IDOM's stop at the source's
+/// radius, IKMB's at the terminals' MST bottleneck.
+fn early_runs<G: GraphView, H: IteratedBase<G>>(
+    base: &H,
+    g: &G,
+    terminals: &[NodeId],
+) -> TerminalDistances {
+    match base.screened_runs() {
+        ScreenedRuns::SourceRadius => TerminalDistances::compute_to_radius(g, terminals),
+        ScreenedRuns::Bottleneck => TerminalDistances::compute_to_bottleneck(g, terminals),
+        other => panic!("{other:?} runs do not stop early"),
+    }
+    .unwrap()
+}
+
+/// Checks a `compute_to_bottleneck` instance over `k` terminals, pushed
+/// runs included, against full runs from its members, and returns how
+/// many member pairs neither of their runs settled.
+///
+/// `M(N)` comes from the terminals' full runs. The final bound must
+/// equal it; every run must settle every node within it, ties included,
+/// with the full run's distance and parent; and every member pair must
+/// read the same both ways, absent only when farther apart than `M(N)`.
+fn check_bottleneck_runs<G: GraphView>(
+    g: &G,
+    td: &TerminalDistances,
+    k: usize,
+    what: &str,
+) -> usize {
+    let members = td.terminals();
+    let full: Vec<ShortestPaths> = members
+        .iter()
+        .map(|&m| ShortestPaths::run(g, m).unwrap())
+        .collect();
+    let m_n = prim_complete(k, |i, j| full[i].dist(members[j]))
+        .map(|mst| mst.weights.into_iter().max().unwrap_or(Weight::ZERO));
+    assert_eq!(td.bottleneck(), m_n, "{what}: the final bound is M(N)");
+    // Terminals that do not connect leave every run flooding.
+    let bound = m_n.unwrap_or(Weight::MAX);
+    for (i, run) in full.iter().enumerate() {
+        let cut = td.shortest_paths(i);
+        for (v, d) in run.reached().filter(|&(_, d)| d <= bound) {
+            assert_eq!(cut.dist(v), Some(d), "{what}: run {i} settles {v:?}");
+            assert_eq!(
+                cut.parent(v),
+                run.parent(v),
+                "{what}: run {i}, parent of {v:?}"
+            );
+        }
+    }
+    let mut neither = 0;
+    for (i, run) in full.iter().enumerate() {
+        for (j, &m) in members.iter().enumerate() {
+            let (got, want) = (td.dist(i, j), run.dist(m));
+            assert_eq!(got, td.dist(j, i), "{what}: dist({i}, {j})");
+            if got.is_some() {
+                assert_eq!(got, want, "{what}: dist({i}, {j})");
+            } else if let Some(d) = want {
+                assert!(d > bound, "{what}: ({i}, {j}) at {d:?} within {bound:?}");
+                neither += usize::from(i < j);
+            }
+        }
+    }
+    neither
 }
 
 /// The screened template of `Iterated::construct_traced`, over runs that
-/// settle `terminals ∪ pool`. The same loop runs alongside over radius
-/// runs, without steering it: every round must score the same
-/// candidates at the same prices, and every exact cost and the final
-/// tree must agree.
+/// settle `terminals ∪ pool`. The same loop runs alongside over the runs
+/// the template makes for `base`, without steering it: every round must
+/// score the same candidates at the same prices, and every exact cost and
+/// the final tree must agree.
 fn reference<G: GraphView, H: IteratedBase<G>>(
     base: &H,
     g: &G,
@@ -204,7 +284,7 @@ fn reference<G: GraphView, H: IteratedBase<G>>(
     net.validate_in(g)?;
     let terminals = net.terminals();
     let mut td = TerminalDistances::compute_to_targets(g, terminals, pool)?;
-    let mut cut = TerminalDistances::compute_to_radius(g, terminals).unwrap();
+    let mut cut = early_runs(base, g, terminals);
     let reference = base.cost_with(g, &td, None);
     assert_eq!(base.cost_with(g, &cut, None), reference, "{what}: reference");
     let mut current = reference?;
@@ -261,10 +341,15 @@ fn reference<G: GraphView, H: IteratedBase<G>>(
     for j in 1..cut.len() {
         for i in 0..j {
             let by_i = cut.shortest_paths(i).dist(cut.terminals()[j]);
-            if by_i.is_none() && cut.dist(i, j).is_some() {
-                reached.later_run_only += 1;
-            }
+            let by_j = cut.shortest_paths(j).dist(cut.terminals()[i]);
+            reached.one_run_only += usize::from(by_i.is_some() != by_j.is_some());
         }
+    }
+    if base.screened_runs() == ScreenedRuns::Bottleneck {
+        let k = terminals.len();
+        reached.neither_run += check_bottleneck_runs(g, &cut, k, what);
+        reached.accepted_beyond_source +=
+            (k..cut.len()).filter(|&p| cut.dist(0, p).is_none()).count();
     }
     let tree = base.build_with(g, &td, None);
     assert_eq!(base.build_with(g, &cut, None), tree, "{what}: final tree");
@@ -357,7 +442,15 @@ fn radius_runs_build_what_pool_runs_build() {
         "the suite must score candidates beyond the source's radius: {reached:?}"
     );
     assert!(
-        reached.later_run_only > 100,
-        "the suite must reach pairs only the later run settled: {reached:?}"
+        reached.one_run_only > 100,
+        "the suite must reach pairs only one run settled: {reached:?}"
+    );
+    assert!(
+        reached.neither_run >= 10,
+        "the suite must reach pairs neither bottleneck run settled: {reached:?}"
+    );
+    assert!(
+        reached.accepted_beyond_source >= 10,
+        "the suite must accept points whose pair with the source no run settled: {reached:?}"
     );
 }

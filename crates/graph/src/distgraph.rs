@@ -10,10 +10,12 @@
 //! "factoring out of H common computations, such as computing
 //! shortest-paths").
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::dijkstra::{KernelScratch, Reach};
+use crate::dsu::UnionFind;
 use crate::view::GraphView;
 use crate::{GraphError, NodeId, Path, ShortestPaths, Weight};
 
@@ -31,15 +33,19 @@ use crate::{GraphError, NodeId, Path, ShortestPaths, Weight};
 ///
 /// Each run goes as far as its constructor says: [`compute`] floods the
 /// whole component, [`compute_to_targets`] stops once a target set has
-/// settled, and [`compute_to_radius`] stops at the source's radius. Under
-/// the last, the distance between two members is settled only by the
-/// later of their two runs; [`dist`] reads whichever run settled it.
+/// settled, [`compute_to_radius`] stops at the source's radius, and
+/// [`compute_to_bottleneck`] at the terminals' MST bottleneck. Under the
+/// last two, a member pair may be settled by only one of its two runs,
+/// or under the last by neither; [`dist`] reads whichever run settled
+/// it, and [`all_connected`] reads connectivity from the settled pairs.
 ///
 /// [`push_terminal`]: TerminalDistances::push_terminal
 /// [`compute`]: TerminalDistances::compute
 /// [`compute_to_targets`]: TerminalDistances::compute_to_targets
 /// [`compute_to_radius`]: TerminalDistances::compute_to_radius
+/// [`compute_to_bottleneck`]: TerminalDistances::compute_to_bottleneck
 /// [`dist`]: TerminalDistances::dist
+/// [`all_connected`]: TerminalDistances::all_connected
 ///
 /// # Example
 ///
@@ -79,6 +85,10 @@ enum Extent {
     /// The source radius `R` of
     /// [`compute_to_radius`](TerminalDistances::compute_to_radius).
     Radius(Weight),
+    /// The bound `B` of
+    /// [`compute_to_bottleneck`](TerminalDistances::compute_to_bottleneck);
+    /// `None` while the settled pairs do not connect the terminals.
+    Bottleneck(Option<Weight>),
 }
 
 impl TerminalDistances {
@@ -143,11 +153,11 @@ impl TerminalDistances {
     /// So a node that a run leaves unsettled is strictly farther than `R`
     /// from that run's source, and every member pair is settled by the
     /// later of its two runs. This is what lets the screened iterated
-    /// template stop its runs here for the bases that opt in
-    /// (`IteratedBaseInfo::screens_within_source_radius` in the
-    /// `steiner-route` crate): a candidate beyond `R` cannot change their
-    /// choices. If some terminal is unreachable from the source, every
-    /// run floods its component.
+    /// template stop its runs here for the bases that ask for it
+    /// (`IteratedBaseInfo::screened_runs` in the `steiner-route` crate):
+    /// a candidate beyond `R` cannot change their choices. If some
+    /// terminal is unreachable from the source, every run floods its
+    /// component.
     ///
     /// # Errors
     ///
@@ -161,22 +171,104 @@ impl TerminalDistances {
         Self::compute_inner(g, terminals, Extent::Radius(Weight::ZERO))
     }
 
+    /// Like [`compute_to_radius`](Self::compute_to_radius), but every run
+    /// after the source's stops at the terminals' MST bottleneck `M(N)`,
+    /// the heaviest edge of the distance-graph MST over the terminals
+    /// `N`, rather than at `R`.
+    ///
+    /// * The runs go one at a time and are stored by terminal index. The
+    ///   source's run is `compute_to_radius`'s: it settles every
+    ///   terminal, then every node within `R`, ties included.
+    /// * After each run, `B` is the heaviest edge of a Kruskal MST over
+    ///   the member pairs settled so far, and unbounded while those pairs
+    ///   do not connect `N`. `B` never rises, and never falls below
+    ///   `M(N)`: the heaviest edge of any spanning tree is at least the
+    ///   MST's.
+    /// * Each later run settles every node within the current `B`, ties
+    ///   included. It starts from the farthest terminal not yet run: the
+    ///   one whose nearest run terminal is farthest away. A terminal that
+    ///   no run has reached counts as farthest, and ties go to the lower
+    ///   index. The order changes only how much is settled.
+    /// * After the last terminal's run, `B = M(N)` exactly, since the
+    ///   later run of every pair within `M(N)` settled it. Each
+    ///   [`push_terminal`](Self::push_terminal) run then settles every
+    ///   node within `M(N)`, ties included ([`bottleneck`](Self::bottleneck)
+    ///   reads `B`).
+    ///
+    /// So every run settles the whole ball of radius `M(N)` around its
+    /// source, with the distances and parents of a full run (a run
+    /// stopped at a bound, ties closed, pops a prefix of the full run's
+    /// pops), and every member pair within `M(N)` is settled. A pair that
+    /// neither of its runs settled is farther apart than `M(N)`, and
+    /// [`dist`](Self::dist) reports it absent. This is what the screened
+    /// iterated KMB needs: it never decides on a distance above `M(N)`.
+    /// If the terminals do not connect, `B` stays unbounded and every run
+    /// floods its component.
+    ///
+    /// # Errors
+    ///
+    /// As [`compute`](Self::compute).
+    pub fn compute_to_bottleneck<G: GraphView>(
+        g: &G,
+        terminals: &[NodeId],
+    ) -> Result<TerminalDistances, GraphError> {
+        check_terminals(g, terminals)?;
+        let k = terminals.len();
+        let mut scratch = KernelScratch::new();
+        let mut runs: Vec<Option<Rc<ShortestPaths>>> = vec![None; k];
+        // Each terminal's distance to its nearest run terminal, once a run
+        // has reached it.
+        let mut nearest: Vec<Option<Weight>> = vec![None; k];
+        // A minimum spanning forest of the settled pairs, and B.
+        let mut forest: Vec<(Weight, usize, usize)> = Vec::new();
+        let mut uf = UnionFind::new(k);
+        let mut bound = None;
+        let mut i = 0;
+        loop {
+            // The source, terminal 0, runs first.
+            let reach = match bound {
+                _ if i == 0 => Reach::Radius(terminals, Weight::ZERO),
+                Some(b) => Reach::Radius(&[], b),
+                None => Reach::All,
+            };
+            let run = ShortestPaths::run_in(g, terminals[i], reach, &mut scratch)?;
+            for (j, &t) in terminals.iter().enumerate() {
+                if let Some(d) = run.dist(t).filter(|_| j != i) {
+                    forest.push((d, i, j));
+                    nearest[j] = Some(nearest[j].map_or(d, |n| n.min(d)));
+                }
+            }
+            runs[i] = Some(Rc::new(run));
+            // The forest's edges plus this run's pairs hold an MST of
+            // every pair settled so far.
+            forest.sort_unstable();
+            uf.reset(k);
+            forest.retain(|&(_, a, b)| uf.union(a, b));
+            if uf.set_count() == 1 {
+                bound = Some(forest.last().map_or(Weight::ZERO, |&(w, ..)| w));
+            }
+            let farthest = (0..k)
+                .filter(|&j| runs[j].is_none())
+                .min_by_key(|&j| Reverse((nearest[j].is_none(), nearest[j])));
+            match farthest {
+                Some(j) => i = j,
+                None => break,
+            }
+        }
+        Ok(TerminalDistances {
+            terminals: terminals.to_vec(),
+            sp: runs.into_iter().flatten().collect(),
+            extent: Extent::Bottleneck(bound),
+            scratch,
+        })
+    }
+
     fn compute_inner<G: GraphView>(
         g: &G,
         terminals: &[NodeId],
         mut extent: Extent,
     ) -> Result<TerminalDistances, GraphError> {
-        if terminals.is_empty() {
-            return Err(GraphError::EmptyTerminalSet);
-        }
-        let mut seen = vec![false; g.node_count()];
-        for &t in terminals {
-            g.require_live_node(t)?;
-            if seen[t.index()] {
-                return Err(GraphError::DuplicateTerminal(t));
-            }
-            seen[t.index()] = true;
-        }
+        check_terminals(g, terminals)?;
         let mut scratch = KernelScratch::new();
         let mut sp = Vec::with_capacity(terminals.len());
         for &t in terminals {
@@ -227,7 +319,9 @@ impl TerminalDistances {
     }
 
     /// Distance-graph edge weight between terminals `i` and `j`, or `None`
-    /// if they are disconnected.
+    /// if they are disconnected, or if neither run settled the pair (under
+    /// [`compute_to_bottleneck`](Self::compute_to_bottleneck), a pair
+    /// farther apart than `M(N)`).
     ///
     /// Read from run `i`, or from run `j` if run `i` left `j` unsettled.
     /// Weights are symmetric and saturating sums do not depend on their
@@ -314,7 +408,8 @@ impl TerminalDistances {
         // A target-restricted instance keeps the restriction: the new
         // run stops at the same target set, so cross-queries between any
         // two members (all members are targets) remain exact. A radius
-        // instance's new run settles every member, itself included.
+        // instance's new run settles every member, itself included; a
+        // bottleneck instance's settles every node within `M(N)`.
         self.terminals.push(v);
         let reach = self.extent.reach(&self.terminals);
         match ShortestPaths::run_in(g, v, reach, &mut self.scratch) {
@@ -327,20 +422,71 @@ impl TerminalDistances {
         Ok(self.terminals.len() - 1)
     }
 
-    /// Returns `true` if every terminal can reach every other terminal.
+    /// Returns `true` if the settled member pairs connect every member:
+    /// a union-find over the pairs that either of their runs settled.
+    ///
+    /// Under every constructor but
+    /// [`compute_to_bottleneck`](Self::compute_to_bottleneck), each
+    /// connected member pair is settled, so this is plain connectivity.
+    /// Under that one, a pair farther apart than `M(N)` may be settled by
+    /// neither run, so a pushed member can lie beyond every run of the
+    /// source and still connect through another member. The pairs within
+    /// `M(N)` connect the terminals whenever anything does, and a pushed
+    /// member counts once some other member's run settled it, as every
+    /// Steiner point the iterated template accepts was.
     #[must_use]
     pub fn all_connected(&self) -> bool {
-        (0..self.len()).all(|j| self.dist(0, j).is_some())
+        let k = self.len();
+        let mut uf = UnionFind::new(k);
+        for i in 0..k {
+            for j in (i + 1)..k {
+                if self.dist(i, j).is_some() && uf.union(i, j) && uf.set_count() == 1 {
+                    return true;
+                }
+            }
+        }
+        uf.set_count() <= 1
     }
+
+    /// The bound `B` of a
+    /// [`compute_to_bottleneck`](Self::compute_to_bottleneck) instance:
+    /// `M(N)`, the heaviest edge of the terminals' distance-graph MST.
+    /// `None` for the other constructors, and when the terminals do not
+    /// connect.
+    #[must_use]
+    pub fn bottleneck(&self) -> Option<Weight> {
+        match self.extent {
+            Extent::Bottleneck(bound) => bound,
+            _ => None,
+        }
+    }
+}
+
+/// Rejects an empty terminal list, repeats, and removed or unknown
+/// terminals.
+fn check_terminals<G: GraphView>(g: &G, terminals: &[NodeId]) -> Result<(), GraphError> {
+    if terminals.is_empty() {
+        return Err(GraphError::EmptyTerminalSet);
+    }
+    let mut seen = vec![false; g.node_count()];
+    for &t in terminals {
+        g.require_live_node(t)?;
+        if seen[t.index()] {
+            return Err(GraphError::DuplicateTerminal(t));
+        }
+        seen[t.index()] = true;
+    }
+    Ok(())
 }
 
 impl Extent {
     /// How far a run that starts with `members` settles.
     fn reach<'a>(&'a self, members: &'a [NodeId]) -> Reach<'a> {
         match self {
-            Extent::Full => Reach::All,
+            Extent::Full | Extent::Bottleneck(None) => Reach::All,
             Extent::Targets(targets) => Reach::Targets(targets),
             Extent::Radius(r) => Reach::Radius(members, *r),
+            Extent::Bottleneck(Some(b)) => Reach::Radius(&[], *b),
         }
     }
 }
@@ -575,6 +721,43 @@ mod tests {
         // The dead extra was dropped from the target set, so the run
         // terminated at n2 instead of flooding to the end of the path.
         assert_eq!(local.dist_to_node(0, n[5]), None);
+    }
+
+    #[test]
+    fn bottleneck_runs_stop_at_the_terminals_mst_bottleneck() {
+        let (g, n) = path_graph(9);
+        // R = 5 (n0 to n5); MST(N) = {n4–n5: 1, n0–n4: 4}, so M(N) = 4.
+        let mut td = TerminalDistances::compute_to_bottleneck(&g, &[n[0], n[4], n[5]]).unwrap();
+        assert_eq!(td.bottleneck(), Some(Weight::from_units(4)));
+        // The source's run goes to R; n4's, the last to run, to M(N),
+        // ties included.
+        assert_eq!(td.dist_to_node(0, n[5]), Some(Weight::from_units(5)));
+        assert_eq!(td.dist_to_node(0, n[6]), None);
+        assert_eq!(td.dist_to_node(1, n[0]), Some(Weight::from_units(4)));
+        assert_eq!(td.dist_to_node(1, n[8]), Some(Weight::from_units(4)));
+        // A pushed member farther than R from the source: neither run
+        // settles their pair, yet n4's run connects it.
+        let p = td.push_terminal(&g, n[7]).unwrap();
+        assert_eq!(td.dist_to_node(p, n[3]), Some(Weight::from_units(4)));
+        assert_eq!(td.dist_to_node(p, n[2]), None);
+        assert_eq!(td.dist(0, p), None);
+        assert_eq!(td.dist(p, 1), Some(Weight::from_units(3)));
+        assert!(td.all_connected());
+    }
+
+    #[test]
+    fn disconnected_bottleneck_runs_flood() {
+        let (mut g, n) = path_graph(6);
+        let e = g
+            .edge_ids()
+            .find(|&e| g.endpoints(e).unwrap() == (n[2], n[3]))
+            .unwrap();
+        g.remove_edge(e).unwrap();
+        let td = TerminalDistances::compute_to_bottleneck(&g, &[n[0], n[1], n[5]]).unwrap();
+        assert_eq!(td.bottleneck(), None);
+        assert_eq!(td.dist_to_node(0, n[2]), Some(Weight::from_units(2)));
+        assert_eq!(td.dist_to_node(2, n[3]), Some(Weight::from_units(2)));
+        assert!(!td.all_connected());
     }
 
     #[test]

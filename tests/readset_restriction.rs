@@ -137,9 +137,15 @@ fn unrestricted_scans_read_more_than_pooled_scans() {
 }
 
 /// Heap pops of a screened `Iterated` construction over `pool`, and of
-/// the runs that settle `pool` from the same members: the terminals and
-/// every Steiner point the construction accepted.
-fn screened_and_pool_pops<H>(base: H, grid: &GridGraph, net: &Net, pool: &[NodeId]) -> (u64, u64)
+/// the runs `runs` makes from the same members: the terminals, then every
+/// Steiner point the construction accepted, pushed.
+fn screened_and_member_pops<H>(
+    base: H,
+    grid: &GridGraph,
+    net: &Net,
+    pool: &[NodeId],
+    runs: impl FnOnce(&Graph, &[NodeId]) -> TerminalDistances,
+) -> (u64, u64)
 where
     H: IteratedBase<Graph>,
 {
@@ -157,31 +163,60 @@ where
     assert!(outcome.tree.spans(net));
     assert!(!outcome.steiner_points.is_empty(), "the construction must push points");
     let collector = Collector::install();
-    let mut td = TerminalDistances::compute_to_targets(g, net.terminals(), pool).unwrap();
+    let mut td = runs(g, net.terminals());
     for &s in &outcome.steiner_points {
         td.push_terminal(g, s).unwrap();
     }
-    let pool_runs = collector.finish().counters.get(Counter::DijkstraHeapPops);
-    (screened, pool_runs)
+    let member_runs = collector.finish().counters.get(Counter::DijkstraHeapPops);
+    (screened, member_runs)
 }
 
 #[test]
 fn screened_constructions_settle_less_than_pool_runs() {
     // The router's IKMB and IDOM run screened over the region pool, so
-    // each of their runs stops at the source's radius instead of at the
-    // last pool node: they settle strictly fewer nodes than runs that
-    // settle the pool from the same members.
+    // each of their runs stops early (IKMB's at the terminals' MST
+    // bottleneck, IDOM's at the source's radius) instead of at the last
+    // pool node: they settle strictly fewer nodes than runs that settle
+    // the pool from the same members.
     let _gate = serial();
     let grid = congested_grid();
     let net = corner_net(&grid);
     let pool = region_pool(&grid);
+    let pool_runs = |g: &Graph, terminals: &[NodeId]| {
+        TerminalDistances::compute_to_targets(g, terminals, &pool).unwrap()
+    };
     for (name, (screened, pool_runs)) in [
-        ("IKMB", screened_and_pool_pops(Kmb::new(), &grid, &net, &pool)),
-        ("IDOM", screened_and_pool_pops(Dom::new(), &grid, &net, &pool)),
+        (
+            "IKMB",
+            screened_and_member_pops(Kmb::new(), &grid, &net, &pool, pool_runs),
+        ),
+        (
+            "IDOM",
+            screened_and_member_pops(Dom::new(), &grid, &net, &pool, pool_runs),
+        ),
     ] {
         assert!(
             screened < pool_runs,
             "{name}: the construction popped {screened} nodes, the pool runs {pool_runs}"
         );
     }
+}
+
+#[test]
+fn screened_ikmb_settles_less_than_radius_runs() {
+    // IKMB's runs after the source's stop at the terminals' MST
+    // bottleneck, which is never above the source's radius: it settles
+    // strictly fewer nodes than radius runs from the same members.
+    let _gate = serial();
+    let grid = congested_grid();
+    let net = corner_net(&grid);
+    let pool = region_pool(&grid);
+    let (screened, radius_runs) =
+        screened_and_member_pops(Kmb::new(), &grid, &net, &pool, |g, terminals| {
+            TerminalDistances::compute_to_radius(g, terminals).unwrap()
+        });
+    assert!(
+        screened < radius_runs,
+        "IKMB popped {screened} nodes, the radius runs {radius_runs}"
+    );
 }
