@@ -74,16 +74,18 @@ if [ "$lint_status" -ne 1 ]; then
     exit 1
 fi
 
-# Fails unless the `dijkstra_heap_pops` line of the `--metrics` summary
-# in $1 is at most $2. The count repeats exactly from run to run, so a
-# construction whose distance runs go farther again fails here: IKMB
-# stops each run after the source's at the terminals' MST bottleneck,
-# IDOM each run at the source's radius.
-require_heap_pops_at_most() {
-    local pops
-    pops="$(awk '$1 == "dijkstra_heap_pops" { print $2 }' <<< "$1")"
-    if [ -z "$pops" ] || [ "$pops" -gt "$2" ]; then
-        echo "$3: dijkstra_heap_pops ${pops:-missing} above the ceiling $2" >&2
+# Fails unless the line of counter $1 in the `--metrics` summary in $2
+# reads at most $3 ($4 names the smoke). The counts repeat exactly from
+# run to run. On `dijkstra_heap_pops`, a construction whose distance
+# runs go farther again fails here: IKMB stops each run after the
+# source's at the terminals' MST bottleneck, IDOM each run at the
+# source's radius. On `lane_rows_packed`, a per-net view that packs
+# rows its runs never read fails here: each row packs on first read.
+require_count_at_most() {
+    local count
+    count="$(awk -v name="$1" '$1 == name { print $2 }' <<< "$2")"
+    if [ -z "$count" ] || [ "$count" -gt "$3" ]; then
+        echo "$4: $1 ${count:-missing} above the ceiling $3" >&2
         exit 1
     fi
 }
@@ -102,7 +104,10 @@ if ! grep -Eq 'minimum channel width 7 with .* \([1-5] routing attempts' <<< "$w
 fi
 # About 1.50 M with bottleneck-stopped runs, 2.30 M with radius-stopped
 # runs, 4.84 M when they flood the pool.
-require_heap_pops_at_most "$width_out" 1800000 "width smoke"
+require_count_at_most dijkstra_heap_pops "$width_out" 1800000 "width smoke"
+# About 0.53 M rows packed on first read; packing every row of the
+# device for every net reads 2.14 M.
+require_count_at_most lane_rows_packed "$width_out" 800000 "width smoke"
 ./target/release/fpga_route trace-check "$trace_file"
 grep -q '"mode":"stream"' "$trace_file"
 grep -q '"type":"span"' "$trace_file"
@@ -144,7 +149,7 @@ idom_out="$(./target/release/fpga_route route --circuit term1 --arch 4000 --widt
     --algorithm idom --trace "$idom_trace" --stream --metrics)"
 printf '%s\n' "$idom_out"
 # About 0.54 M with radius-stopped runs, 1.20 M when they flood the pool.
-require_heap_pops_at_most "$idom_out" 800000 "IDOM smoke"
+require_count_at_most dijkstra_heap_pops "$idom_out" 800000 "IDOM smoke"
 ./target/release/fpga_route trace-check "$idom_trace"
 grep -q '"name":"dom_connections"' "$idom_trace"
 grep -q '"name":"steiner_screen_ns"' "$idom_trace"

@@ -100,7 +100,7 @@ fn bench_size(name: &'static str, rows: usize, cols: usize, reps: usize) -> Vec<
     ] {
         let g = fan.grid.graph();
         let mut lane = LiveLane::new();
-        let csr = LaneView::pack(g, &mut lane, LaneRules::default());
+        let csr = LaneView::new(g, &mut lane, LaneRules::default());
         // Correctness first: the packed view must settle the seed
         // kernel's distances on the target set.
         let truth = ShortestPaths::run_to_targets(g, fan.source, targets).expect("seed");

@@ -422,7 +422,7 @@ fn radius_runs_build_what_pool_runs_build() {
             check(&g, &net, &pool, &format!("seed {seed}"), &mut reached);
         }
         let rules = Rules::draw(&g, &mut rng);
-        let view = LaneView::pack(&g, &mut lane, rules.lane());
+        let view = LaneView::new(&g, &mut lane, rules.lane());
         if let Some((net, pool)) = net_and_pool(&view, terminals, &mut rng) {
             check(&view, &net, &pool, &format!("seed {seed}, lane view"), &mut reached);
         }

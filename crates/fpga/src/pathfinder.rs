@@ -83,6 +83,8 @@
 //! [`reprice_incident_edges`]: route_graph::Graph::reprice_incident_edges
 //! [`RouterConfig::pf_selective`]: crate::router::RouterConfig::pf_selective
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use route_graph::{EdgeId, Graph, NodeId, Weight};
 use steiner_route::{NegotiatedPricing, RoutingTree};
 
@@ -499,14 +501,16 @@ fn trees_differ(a: Option<&RoutingTree>, b: Option<&RoutingTree>) -> bool {
 /// the same priced snapshot minus its own previous present cost (see
 /// [`route_net_excluded`]). The phase runs on `min(threads, order.len())`
 /// workers, so it never spawns a worker with nothing to route; with two
-/// or more, worker `k` routes the nets at positions `k, k+workers, …` of
-/// `order` with its own [`NetScratch`]. The partition is invisible in
-/// the results because no net's route depends on any other net's — only
-/// on the shared snapshot and that net's own previous tree.
+/// or more, each worker claims the next unrouted position of `order`
+/// from one shared cursor and routes it with its own [`NetScratch`], so
+/// a worker that draws cheap nets takes more of them instead of waiting
+/// for the other. The partition is invisible in the results because no
+/// net's route depends on any other net's — only on the shared snapshot
+/// and that net's own previous tree — and results merge by net index.
 ///
 /// Returns `(net index, Some(tree))` per routed net, `None` for a
-/// disconnected one; nets outside `order` are untouched. Every net packs
-/// its view straight from `priced`, which no worker mutates.
+/// disconnected one; nets outside `order` are untouched. Every net's
+/// view reads its rows straight from `priced`, which no worker mutates.
 #[allow(clippy::too_many_arguments)] // internal plumbing for one call site
 fn route_all(
     router: &Router<'_>,
@@ -560,10 +564,16 @@ fn route_all(
         return Ok(routed);
     }
     let parent_span = route_trace::current_span();
+    // The next unclaimed position of `order`. `Relaxed` suffices: the
+    // cursor publishes no data, every input the workers read is shared
+    // immutably before the scope spawns them, and the join publishes
+    // their results.
+    let cursor = AtomicUsize::new(0);
     let mut worker_results: Vec<WorkerRoutes> = Vec::with_capacity(workers);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for (k, net_scratch) in scratch.iter_mut().enumerate().take(workers) {
+            let cursor = &cursor;
             handles.push(scope.spawn(move || {
                 route_trace::worker(parent_span, || {
                     let worker_started = if route_trace::enabled() {
@@ -573,7 +583,7 @@ fn route_all(
                         None
                     };
                     let mut routed = Vec::new();
-                    for ni in (k..order.len()).step_by(workers).map(|j| order[j]) {
+                    while let Some(&ni) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                         let tree = route_net_excluded(
                             router,
                             priced,

@@ -468,10 +468,11 @@ impl<'d> Router<'d> {
     /// `Some(salt)`, every edge carries its tie-break tilt. `Ok(None)`
     /// reports an unroutable (disconnected) net; `g` is never mutated.
     ///
-    /// The view is packed once, straight from `g`, into the scratch lane
-    /// (its buffers reused from net to net): every Dijkstra run of the
-    /// net relaxes contiguous `(neighbor, edge, weight)` triples instead
-    /// of re-resolving `g`'s liveness per edge.
+    /// The view packs each row of `g` the first time one of the net's
+    /// runs reads it, into the scratch lane (its buffers reused from net
+    /// to net): the net pays only for the rows it reads, and every
+    /// Dijkstra run relaxes contiguous `(neighbor, edge, weight)` triples
+    /// instead of re-resolving `g`'s liveness per edge.
     pub(crate) fn route_net<G: GraphView>(
         &self,
         g: &G,
@@ -495,9 +496,9 @@ impl<'d> Router<'d> {
         };
         let result = {
             let pool = self.candidate_pool(circuit, ni);
-            // The pack runs inside the phase span: it is the
-            // construction's adjacency work, done once per net instead
-            // of once per relaxation.
+            // The view's rows pack inside the phase span: it is the
+            // construction's adjacency work, done once per row and net
+            // instead of once per relaxation.
             let _phase_span =
                 route_trace::span(route_trace::SpanKind::Phase, algorithm.label(), 0);
             scratch.with_view(self.device, g, net.terminals(), tilt, |view| {
@@ -720,7 +721,7 @@ pub fn auto_thread_count(
 }
 
 /// One routing thread's per-net buffers, reused from net to net: the
-/// lane each net's view is packed into, the foreign-pin bitmap its
+/// lane each net's view packs its rows into, the foreign-pin bitmap its
 /// masking reads, and PathFinder's per-node self-exclusion discounts.
 #[derive(Debug)]
 pub(crate) struct NetScratch {
@@ -747,9 +748,10 @@ impl NetScratch {
         }
     }
 
-    /// Packs the view of `g` for the net with `terminals` (its foreign
+    /// Starts the view of `g` for the net with `terminals` (its foreign
     /// pins hidden, the scratch discounts and the `tilt` salt applied)
-    /// and runs `f` over it.
+    /// over the scratch lane and runs `f` over it; the view packs each
+    /// row the first time `f` reads it.
     pub(crate) fn with_view<G: GraphView, R>(
         &mut self,
         device: &Device,
@@ -764,7 +766,7 @@ impl NetScratch {
             discount: &self.discount,
             tilt,
         };
-        let result = f(&LaneView::pack(g, &mut self.lane, rules));
+        let result = f(&LaneView::new(g, &mut self.lane, rules));
         self.mark_foreign(device, terminals, true);
         result
     }

@@ -1,13 +1,15 @@
-//! The per-net routing view: one graph, packed once per net into
-//! flat-CSR adjacency under the net's rules.
+//! The per-net routing view: one graph, packed row by row on first read
+//! into flat-CSR adjacency under the net's rules.
 //!
 //! [`Graph`](crate::Graph) stores one heap-allocated adjacency `Vec` per
 //! node and resolves liveness per entry, so a Dijkstra relaxation sweep
 //! hops between scattered allocations and re-checks flags on every
-//! visit. A [`LaneView`] packs its base graph's usable adjacency once,
-//! in one pass, into a [`LiveLane`]: one contiguous
-//! `(neighbor, edge, weight)` array the relaxation hot loop walks with
-//! no per-entry checks.
+//! visit. A [`LaneView`] packs a node's usable adjacency the first time
+//! anything reads it, into a [`LiveLane`]: one contiguous
+//! `(neighbor, edge, weight)` array that every later read of that row,
+//! the relaxation hot loop included, walks with no per-entry checks.
+//! Starting a view costs O(1), and a net pays only for the rows its
+//! runs read, not for the whole device.
 //!
 //! The router routes every net against such a view of one base graph
 //! (rip-up's working graph, or PathFinder's priced graph) under the
@@ -21,11 +23,30 @@
 //! * **order** — [`neighbors`](GraphView::neighbors) yields the base's
 //!   order with the hidden entries dropped, so routing over the view is
 //!   bit-identical to routing over a base clone mutated the same way;
-//! * **epoch** — the base's epoch plus the number of packs the lane has
-//!   taken, so it advances with every repack and every base mutation.
+//! * **epoch** — the base's epoch plus the number of views the lane has
+//!   started, so it advances with every new view and every base
+//!   mutation.
 //!
 //! The base is never mutated: masking a net's foreign pins or discounting
 //! its previous route costs nothing to undo.
+//!
+//! **The bound.** A view packs each row at most once, and row `v` holds
+//! at most `v`'s usable incident edges. The base has no self-loops
+//! ([`Graph::add_edge`](crate::Graph::add_edge) rejects them), so each
+//! usable edge sits in at most two rows, and usable edges are live. So
+//! `2 × base.live_edge_count()` entries hold every row one view can
+//! pack: the view sizes the lane's entry buffer to that when it starts,
+//! growing it only, and the buffer never moves while the view lives.
+//!
+//! **Nested reads.** A row packs at the view's cursor, past every row
+//! packed before it, and a packed row is never moved or rewritten while
+//! its view lives. So an iterator over one row stays valid while another
+//! row packs: a construction may read `u`'s neighbors while it walks
+//! `v`'s. The view reads the lane's buffers as `&[Cell<_>]` slices
+//! ([`Cell::as_slice_of_cells`]), which makes this hold in safe code
+//! with no borrow flag to check per read.
+
+use std::cell::Cell;
 
 use crate::rng::SplitMix64;
 use crate::view::GraphView;
@@ -85,69 +106,75 @@ impl LaneRules<'_> {
     }
 }
 
-/// The packed adjacency behind a [`LaneView`]: entries
-/// `offsets[v]..offsets[v + 1]` are `v`'s `(neighbor, edge, weight)`
-/// triples.
+/// One packed `(neighbor, edge, weight)` adjacency triple.
+type Entry = (NodeId, EdgeId, Weight);
+
+/// Where a node's packed triples sit in the lane's entry buffer:
+/// `start..end`, valid only while `generation` carries the current
+/// view's.
+#[derive(Debug, Clone, Copy, Default)]
+struct Row {
+    generation: u32,
+    start: u32,
+    end: u32,
+}
+
+/// The buffers behind a [`LaneView`]: one generation-stamped row per
+/// node and the entry buffer the rows point into.
 ///
-/// Repacking reuses both buffers, so a lane that outlives many packs
-/// (one per routed net) allocates only while it grows.
+/// Every view starts a new generation with an empty cursor, so no row
+/// packed by an earlier view is ever read again; only the buffers
+/// outlive a view. A lane that serves many views (one per routed net)
+/// allocates only while it grows.
 #[derive(Debug, Clone, Default)]
 pub struct LiveLane {
-    offsets: Vec<u32>,
-    entries: Vec<(NodeId, EdgeId, Weight)>,
-    /// Nodes live in the base that the last pack hid.
-    hidden_live: usize,
-    /// Packs taken so far; advances the view's epoch.
-    packs: u64,
+    rows: Vec<Row>,
+    entries: Vec<Entry>,
+    /// The current view's generation; `0` marks a row no view packed.
+    generation: u32,
+    /// Views started so far; advances the view's epoch.
+    views: u64,
 }
 
 impl LiveLane {
-    /// An empty lane; buffers grow on the first pack.
+    /// An empty lane; buffers grow when a view first needs them.
     #[must_use]
     pub fn new() -> LiveLane {
         LiveLane::default()
     }
 
-    /// Replaces the lane's contents with `base`'s usable adjacency under
-    /// `rules`. `O(nodes + edges)`.
-    fn pack<G: GraphView>(&mut self, base: &G, rules: LaneRules<'_>) {
-        self.offsets.clear();
-        self.entries.clear();
-        self.hidden_live = 0;
-        self.packs = self.packs.wrapping_add(1);
-        self.offsets.push(0);
-        for i in 0..base.node_count() {
-            let v = NodeId::from_index(i);
-            if base.is_node_live(v) {
-                if rules.hides(v) {
-                    self.hidden_live += 1;
-                } else {
-                    for (u, e, w) in base.neighbors(v) {
-                        if !rules.hides(u) {
-                            self.entries.push((u, e, rules.price(w, v, u, e)));
-                        }
-                    }
-                }
-            }
-            // lint: allow(panic-hygiene): a routing graph with 2^32 adjacency entries is far beyond any device this router models
-            let end = u32::try_from(self.entries.len()).expect("adjacency fits u32 offsets");
-            self.offsets.push(end);
+    /// Starts a view over `nodes` rows that may pack up to `entries`
+    /// triples: grows the buffers as needed and advances the generation,
+    /// so every row reads as unpacked without being cleared. Returns the
+    /// new generation.
+    fn begin(&mut self, nodes: usize, entries: usize) -> u32 {
+        if self.rows.len() < nodes {
+            self.rows.resize(nodes, Row::default());
         }
-    }
-
-    /// `v`'s packed triples (none for nodes beyond the packed range).
-    fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, Weight)> + '_ {
-        let range = match (self.offsets.get(v.index()), self.offsets.get(v.index() + 1)) {
-            (Some(&start), Some(&end)) => start as usize..end as usize,
-            _ => 0..0,
+        if self.entries.len() < entries {
+            self.entries
+                .resize(entries, (NodeId(0), EdgeId(0), Weight::ZERO));
+        }
+        self.views = self.views.wrapping_add(1);
+        self.generation = match self.generation.checked_add(1) {
+            Some(generation) => generation,
+            None => {
+                // Generation wrap-around: old stamps could collide with
+                // new ones, so clear them once and start over.
+                for row in &mut self.rows {
+                    row.generation = 0;
+                }
+                1
+            }
         };
-        self.entries[range].iter().copied()
+        self.generation
     }
 }
 
-/// One net's view of a base graph under [`LaneRules`], with its usable
-/// adjacency packed into a [`LiveLane`] (see the [module docs](self)
-/// for the contract).
+/// One net's view of a base graph under [`LaneRules`], its usable
+/// adjacency packed into a [`LiveLane`] row by row as it is read (see
+/// the [module docs](self) for the contract, the bound and nested
+/// reads).
 ///
 /// # Example
 ///
@@ -163,7 +190,7 @@ impl LiveLane {
 /// let discount = [Weight::UNIT];
 /// let rules = LaneRules { hidden: &hidden, discount: &discount, tilt: None };
 /// let mut lane = LiveLane::new();
-/// let view = LaneView::pack(&g, &mut lane, rules);
+/// let view = LaneView::new(&g, &mut lane, rules);
 /// assert_eq!(view.neighbors(n[1]).count(), 1);
 /// assert!(!view.is_node_live(n[2]));
 /// assert_eq!(view.weight(e)?, Weight::UNIT);
@@ -174,20 +201,85 @@ impl LiveLane {
 #[derive(Debug)]
 pub struct LaneView<'a, G> {
     base: &'a G,
-    lane: &'a LiveLane,
     rules: LaneRules<'a>,
+    /// The lane's rows, one per base node.
+    rows: &'a [Cell<Row>],
+    /// The lane's entry buffer, `2 × base.live_edge_count()` long.
+    entries: &'a [Cell<Entry>],
+    /// End of the last packed row.
+    cursor: Cell<u32>,
+    generation: u32,
+    /// The lane's view count when this view started.
+    views: u64,
 }
 
 impl<'a, G: GraphView> LaneView<'a, G> {
-    /// Packs `base` under `rules` into `lane`, in one pass, and returns
-    /// the view over it.
+    /// Starts the view of `base` under `rules` over `lane`'s buffers.
+    /// Packs nothing: each row packs the first time it is read.
     ///
     /// # Panics
     ///
-    /// Panics if the view has `u32::MAX` or more adjacency entries.
-    pub fn pack(base: &'a G, lane: &'a mut LiveLane, rules: LaneRules<'a>) -> LaneView<'a, G> {
-        lane.pack(base, rules);
-        LaneView { base, lane, rules }
+    /// Panics if `2 × base.live_edge_count()` exceeds `u32::MAX`.
+    pub fn new(base: &'a G, lane: &'a mut LiveLane, rules: LaneRules<'a>) -> LaneView<'a, G> {
+        let nodes = base.node_count();
+        let bound = base.live_edge_count().saturating_mul(2);
+        // A routing graph with 2^31 live edges is far beyond any device
+        // this router models.
+        assert!(u32::try_from(bound).is_ok(), "adjacency fits u32 offsets");
+        let generation = lane.begin(nodes, bound);
+        let views = lane.views;
+        LaneView {
+            base,
+            rules,
+            rows: Cell::from_mut(&mut lane.rows[..nodes]).as_slice_of_cells(),
+            entries: Cell::from_mut(&mut lane.entries[..bound]).as_slice_of_cells(),
+            cursor: Cell::new(0),
+            generation,
+            views,
+        }
+    }
+
+    /// `v`'s packed triples, packed now if no read of this view has
+    /// packed them yet (none for nodes beyond the base).
+    #[inline]
+    fn row(&self, v: NodeId) -> &'a [Cell<Entry>] {
+        let Some(cell) = self.rows.get(v.index()) else {
+            return &[];
+        };
+        let mut row = cell.get();
+        if row.generation != self.generation {
+            row = self.pack_row(v);
+            cell.set(row);
+        }
+        &self.entries[row.start as usize..row.end as usize]
+    }
+
+    /// Appends `v`'s usable triples under the rules at the cursor, in the
+    /// base's order, and returns their row.
+    fn pack_row(&self, v: NodeId) -> Row {
+        let start = self.cursor.get();
+        let mut end = start as usize;
+        if self.base.is_node_live(v) && !self.rules.hides(v) {
+            for (u, e, w) in self.base.neighbors(v) {
+                if !self.rules.hides(u) {
+                    debug_assert!(
+                        end < self.entries.len(),
+                        "a view packs at most 2 × live_edge_count entries"
+                    );
+                    self.entries[end].set((u, e, self.rules.price(w, v, u, e)));
+                    end += 1;
+                }
+            }
+        }
+        // `end` is at most `entries.len()`, which `new` checked fits u32.
+        let end = end as u32;
+        self.cursor.set(end);
+        route_trace::count(route_trace::Counter::LaneRowsPacked, 1);
+        Row {
+            generation: self.generation,
+            start,
+            end,
+        }
     }
 }
 
@@ -200,10 +292,16 @@ impl<G: GraphView> GraphView for LaneView<'_, G> {
         self.base.edge_count()
     }
 
+    /// Counts the hidden live nodes on demand: `O(rules.hidden.len())`.
     fn live_node_count(&self) -> usize {
-        self.base
-            .live_node_count()
-            .saturating_sub(self.lane.hidden_live)
+        let hidden_live = self
+            .rules
+            .hidden
+            .iter()
+            .enumerate()
+            .filter(|&(i, &hidden)| hidden && self.base.is_node_live(NodeId::from_index(i)))
+            .count();
+        self.base.live_node_count().saturating_sub(hidden_live)
     }
 
     fn live_edge_count(&self) -> usize {
@@ -232,8 +330,9 @@ impl<G: GraphView> GraphView for LaneView<'_, G> {
         Ok(self.rules.price(w, a, b, e))
     }
 
+    #[inline]
     fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, Weight)> + '_ {
-        self.lane.neighbors(v)
+        self.row(v).iter().map(Cell::get)
     }
 
     fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
@@ -249,7 +348,7 @@ impl<G: GraphView> GraphView for LaneView<'_, G> {
     }
 
     fn epoch(&self) -> u64 {
-        self.base.epoch().wrapping_add(self.lane.packs)
+        self.base.epoch().wrapping_add(self.views)
     }
 }
 
@@ -310,7 +409,7 @@ mod tests {
     fn default_rules_mirror_the_base() {
         let (g, _) = mutated_graph();
         let mut lane = LiveLane::new();
-        let view = LaneView::pack(&g, &mut lane, LaneRules::default());
+        let view = LaneView::new(&g, &mut lane, LaneRules::default());
         assert_same_surface(&view, &g);
     }
 
@@ -341,7 +440,7 @@ mod tests {
         }
         model.remove_node(n[4]).unwrap();
         let mut lane = LiveLane::new();
-        let view = LaneView::pack(&g, &mut lane, rules);
+        let view = LaneView::new(&g, &mut lane, rules);
         assert_same_surface(&view, &model);
         // The base saw none of it.
         assert!(g.is_node_live(n[4]));
@@ -352,7 +451,7 @@ mod tests {
     fn shortest_paths_agree_with_source() {
         let (g, n) = mutated_graph();
         let mut lane = LiveLane::new();
-        let view = LaneView::pack(&g, &mut lane, LaneRules::default());
+        let view = LaneView::new(&g, &mut lane, LaneRules::default());
         let on_graph = ShortestPaths::run(&g, n[0]).unwrap();
         let on_lane = ShortestPaths::run(&view, n[0]).unwrap();
         for &v in &n {
@@ -371,7 +470,7 @@ mod tests {
             discount: &[],
             tilt: Some(1),
         };
-        let view = LaneView::pack(&g, &mut lane, rules);
+        let view = LaneView::new(&g, &mut lane, rules);
         let far_node = NodeId::from_index(99);
         let far_edge = EdgeId::from_index(99);
         assert!(!view.is_node_live(far_node));
@@ -385,6 +484,32 @@ mod tests {
             view.require_live_node(far_node),
             Err(GraphError::NodeOutOfBounds(far_node))
         );
+    }
+
+    #[test]
+    fn a_lane_survives_generation_wrap_around() {
+        let (g, n) = mutated_graph();
+        let hidden = [false, true];
+        let rules = LaneRules {
+            hidden: &hidden,
+            discount: &[],
+            tilt: Some(3),
+        };
+        let mut lane = LiveLane::new();
+        {
+            // Generation 1 packs rows that differ from the base's.
+            let view = LaneView::new(&g, &mut lane, rules);
+            for &v in &n {
+                view.neighbors(v).for_each(drop);
+            }
+        }
+        // The next view runs at u32::MAX, the one after wraps to 1 again:
+        // the rows stamped 1 above must read as unpacked there.
+        lane.generation = u32::MAX - 1;
+        for _ in 0..3 {
+            let view = LaneView::new(&g, &mut lane, LaneRules::default());
+            assert_same_surface(&view, &g);
+        }
     }
 
     #[test]

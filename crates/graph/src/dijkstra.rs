@@ -482,7 +482,6 @@ fn search_impl<G: GraphView, const TRACED: bool>(
         route_trace::count(route_trace::Counter::HeapPushes, pushes);
         if let Some(started) = started {
             let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            route_trace::record_duration(route_trace::Metric::DijkstraRunNs, ns);
             route_trace::record_duration(route_trace::Metric::KernelQueryNs, ns);
         }
     }

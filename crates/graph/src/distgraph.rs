@@ -463,18 +463,19 @@ impl TerminalDistances {
 }
 
 /// Rejects an empty terminal list, repeats, and removed or unknown
-/// terminals.
+/// terminals, reporting the first terminal, in list order, that is
+/// either. Repeats are found by scanning the earlier terminals: `O(k²)`
+/// for `k` terminals, where a device-sized bitmap would cost `O(n)` per
+/// call.
 fn check_terminals<G: GraphView>(g: &G, terminals: &[NodeId]) -> Result<(), GraphError> {
     if terminals.is_empty() {
         return Err(GraphError::EmptyTerminalSet);
     }
-    let mut seen = vec![false; g.node_count()];
-    for &t in terminals {
+    for (i, &t) in terminals.iter().enumerate() {
         g.require_live_node(t)?;
-        if seen[t.index()] {
+        if terminals[..i].contains(&t) {
             return Err(GraphError::DuplicateTerminal(t));
         }
-        seen[t.index()] = true;
     }
     Ok(())
 }
@@ -633,6 +634,29 @@ mod tests {
             TerminalDistances::compute(&g, &[n[0], n[0]]).unwrap_err(),
             GraphError::DuplicateTerminal(n[0])
         );
+    }
+
+    #[test]
+    fn terminal_errors_name_the_first_bad_terminal_in_list_order() {
+        let (mut g, n) = path_graph(5);
+        g.remove_node(n[3]).unwrap();
+        let far = NodeId::from_index(99);
+        let cases = [
+            (vec![n[0], n[1], n[3], n[0]], GraphError::NodeRemoved(n[3])),
+            (
+                vec![n[0], n[1], n[0], n[3]],
+                GraphError::DuplicateTerminal(n[0]),
+            ),
+            (
+                vec![n[0], n[1], n[1], n[0]],
+                GraphError::DuplicateTerminal(n[1]),
+            ),
+            (vec![n[2], far, n[2]], GraphError::NodeOutOfBounds(far)),
+        ];
+        for (terminals, error) in cases {
+            assert_eq!(check_terminals(&g, &terminals), Err(error), "{terminals:?}");
+        }
+        assert_eq!(check_terminals(&g, &[n[4], n[0], n[2]]), Ok(()));
     }
 
     #[test]

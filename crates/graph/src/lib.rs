@@ -21,11 +21,12 @@
 //!   reusable per-query buffers ([`KernelScratch`]). A canonical
 //!   `(node, edge)` parent rule makes every tree a deterministic function
 //!   of the graph and its adjacency order.
-//! * [`csr`] — the per-net routing view: [`LaneView`] packs a base
-//!   graph's usable adjacency, under the net's [`LaneRules`] (hidden
-//!   nodes, per-node discounts, a tie-break tilt), in one pass into a
-//!   [`LiveLane`] of contiguous `(neighbor, edge, weight)` triples for
-//!   cache-friendly relaxation sweeps, without mutating the base.
+//! * [`csr`] — the per-net routing view: [`LaneView`] packs each row of
+//!   a base graph's usable adjacency, under the net's [`LaneRules`]
+//!   (hidden nodes, per-node discounts, a tie-break tilt), the first
+//!   time it is read into a [`LiveLane`] of contiguous
+//!   `(neighbor, edge, weight)` triples for cache-friendly relaxation
+//!   sweeps, without mutating the base.
 //! * [`TerminalDistances`] — the *distance graph* over a net's terminals
 //!   (the complete graph whose edge weights are shortest-path costs in `G`),
 //!   the shared primitive of KMB, ZEL, DOM and the iterated constructions.

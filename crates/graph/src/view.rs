@@ -146,9 +146,10 @@ impl GraphView for Graph {
         Graph::live_edge_count(self)
     }
 
-    // This and `neighbors` are inlined across crates: the per-net pack
-    // (`LaneView::pack`) is instantiated in the router's crate and calls
-    // both once per node, where an out-of-line call is measurably slower.
+    // This and `neighbors` are inlined across crates: a `LaneView`'s
+    // first-read row packing is instantiated in the router's crate and
+    // calls both once per packed row, where an out-of-line call is
+    // measurably slower.
     #[inline]
     fn is_node_live(&self, v: NodeId) -> bool {
         Graph::is_node_live(self, v)

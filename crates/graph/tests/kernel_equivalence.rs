@@ -300,7 +300,7 @@ fn lane_view_neighbors_equal_the_wrapped_view() {
         let mut rng = SplitMix64::seed_from_u64(seed ^ 0x1a4e);
         // Under no rules, over the graph itself: dead nodes and one id
         // past the end included.
-        let view = LaneView::pack(&g, &mut lane, LaneRules::default());
+        let view = LaneView::new(&g, &mut lane, LaneRules::default());
         for i in 0..=g.node_count() {
             let v = NodeId::from_index(i);
             assert_eq!(
@@ -347,7 +347,7 @@ fn lane_view_neighbors_equal_the_wrapped_view() {
             discount: &discount,
             tilt: Some(salt),
         };
-        let view = LaneView::pack(&g, &mut lane, rules);
+        let view = LaneView::new(&g, &mut lane, rules);
         for i in 0..=g.node_count() {
             let v = NodeId::from_index(i);
             assert_eq!(

@@ -6,9 +6,14 @@
 //! The router's bit-identity across thread counts and across this
 //! rewrite rests on exactly this equivalence: a construction must see
 //! the same liveness, weights, *and adjacency iteration order* through
-//! the view as through the mutated clone. Cases are generated from the
-//! vendored [`route_graph::rng`] PRNG (no external proptest dependency);
-//! each test sweeps seeded cases and names the failing seed.
+//! the view as through the mutated clone. The view packs each row on its
+//! first read, so the equivalence must hold whatever rows are read, in
+//! whatever order, partly or again, with one row's iterator live while
+//! another row packs, and on a lane reused across views of one graph
+//! mutated between them; and one view never packs more than
+//! `2 × live_edge_count` entries. Cases are generated from the vendored
+//! [`route_graph::rng`] PRNG (no external proptest dependency); each
+//! test sweeps seeded cases and names the failing seed.
 
 use route_graph::csr::tilt;
 use route_graph::rng::{Rng, SplitMix64};
@@ -193,7 +198,7 @@ fn lane_view_matches_a_mutated_clone() {
         let rules = Rules::random(&base, &mut rng);
         let model = rules.apply_to_clone(&base);
         let mut lane = LiveLane::new();
-        let view = LaneView::pack(&base, &mut lane, rules.lane_rules());
+        let view = LaneView::new(&base, &mut lane, rules.lane_rules());
         assert_same_view(&view, &model, &format!("seed {seed}"));
         // Same surface, same routes.
         let first = model.node_ids().next();
@@ -222,18 +227,18 @@ fn a_reused_lane_matches_a_fresh_one() {
         let base = random_graph(&mut rng);
         let rules = Rules::random(&base, &mut rng);
         let mut fresh = LiveLane::new();
-        let fresh_view = LaneView::pack(&base, &mut fresh, rules.lane_rules());
-        let reused_view = LaneView::pack(&base, &mut reused, rules.lane_rules());
+        let fresh_view = LaneView::new(&base, &mut fresh, rules.lane_rules());
+        let reused_view = LaneView::new(&base, &mut reused, rules.lane_rules());
         assert_same_view(&reused_view, &fresh_view, &format!("step {step}"));
     }
 }
 
 #[test]
-fn epoch_advances_with_every_pack_and_base_mutation() {
+fn epoch_advances_with_every_view_and_base_mutation() {
     let mut rng = SplitMix64::seed_from_u64(7);
     let mut base = random_graph(&mut rng);
     let mut lane = LiveLane::new();
-    let mut last = LaneView::pack(&base, &mut lane, LaneRules::default()).epoch();
+    let mut last = LaneView::new(&base, &mut lane, LaneRules::default()).epoch();
     for step in 0..CASES {
         if step % 2 == 1 {
             let e = EdgeId::from_index(rng.gen_range(0..base.edge_count().max(1)));
@@ -242,11 +247,187 @@ fn epoch_advances_with_every_pack_and_base_mutation() {
             }
         }
         let rules = Rules::random(&base, &mut rng);
-        let view = LaneView::pack(&base, &mut lane, rules.lane_rules());
+        let view = LaneView::new(&base, &mut lane, rules.lane_rules());
         assert!(
             view.epoch() > last,
-            "step {step}: a repack must advance the epoch so cached distances invalidate"
+            "step {step}: a new view must advance the epoch so cached distances invalidate"
         );
         last = view.epoch();
+    }
+}
+
+/// `model`'s adjacency of `v`.
+fn row_of(model: &Graph, v: NodeId) -> Vec<(NodeId, EdgeId, Weight)> {
+    model.neighbors(v).collect()
+}
+
+/// A random node id, one past the end included.
+fn random_node<G: GraphView>(g: &G, rng: &mut SplitMix64) -> NodeId {
+    NodeId::from_index(rng.gen_range(0..=g.node_count()))
+}
+
+/// Reads random rows of `view` in random order, some only in part, some
+/// again, and half the time reads a second row while the first row's
+/// iterator is live; checks every complete read against `model`.
+fn read_random_rows<G: GraphView>(
+    view: &LaneView<'_, G>,
+    model: &Graph,
+    rng: &mut SplitMix64,
+    context: &str,
+) {
+    for _ in 0..rng.gen_range(0..3 * model.node_count() + 2) {
+        let v = random_node(view, rng);
+        let mut outer = view.neighbors(v);
+        let mut got: Vec<_> = outer.by_ref().take(rng.gen_range(0..4usize)).collect();
+        if rng.gen_range(0..2u32) == 0 {
+            let u = random_node(view, rng);
+            let inner: Vec<_> = view.neighbors(u).collect();
+            assert_eq!(inner, row_of(model, u), "{context}: {u} read inside {v}");
+        }
+        if rng.gen_range(0..4u32) == 0 {
+            continue; // a partial read
+        }
+        got.extend(outer);
+        assert_eq!(got, row_of(model, v), "{context}: row {v}");
+    }
+}
+
+#[test]
+fn rows_read_in_any_order_match_a_mutated_clone() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::seed_from_u64(0xa11 ^ seed);
+        let base = random_graph(&mut rng);
+        let rules = Rules::random(&base, &mut rng);
+        let model = rules.apply_to_clone(&base);
+        let mut lane = LiveLane::new();
+        let view = LaneView::new(&base, &mut lane, rules.lane_rules());
+        let context = format!("seed {seed}");
+        read_random_rows(&view, &model, &mut rng, &context);
+        // A run over the partly packed view reads the rows in its own
+        // order; then every row is read again.
+        if let Some(source) = model.node_ids().next() {
+            let on_view = ShortestPaths::run(&view, source).unwrap();
+            let on_model = ShortestPaths::run(&model, source).unwrap();
+            for v in model.node_ids() {
+                assert_eq!(on_view.dist(v), on_model.dist(v), "{context}: dist({v})");
+                assert_eq!(
+                    on_view.parent(v),
+                    on_model.parent(v),
+                    "{context}: parent({v})"
+                );
+            }
+        }
+        assert_same_view(&view, &model, &context);
+    }
+}
+
+/// One rip-up or PathFinder step on `g`: removes a node or an edge,
+/// reweights edges, restores a node and an edge, or adds an edge.
+fn mutate(g: &mut Graph, rng: &mut SplitMix64) {
+    let n = g.node_count();
+    match rng.gen_range(0..5u32) {
+        0 => {
+            let v = NodeId::from_index(rng.gen_range(0..n));
+            if g.is_node_live(v) {
+                g.remove_node(v).unwrap();
+            }
+        }
+        1 => {
+            let e = g.edge_ids().nth(rng.gen_range(0..g.edge_count().max(1)));
+            if let Some(e) = e {
+                g.remove_edge(e).unwrap();
+            }
+        }
+        2 => {
+            for _ in 0..rng.gen_range(1..4u32) {
+                let e = EdgeId::from_index(rng.gen_range(0..g.edge_count().max(1)));
+                if e.index() < g.edge_count() {
+                    let w = random_weight(rng);
+                    g.set_weight(e, w).unwrap();
+                }
+            }
+        }
+        3 => {
+            g.restore_node(NodeId::from_index(rng.gen_range(0..n)))
+                .unwrap();
+            let e = EdgeId::from_index(rng.gen_range(0..g.edge_count().max(1)));
+            if e.index() < g.edge_count() {
+                g.restore_edge(e).unwrap();
+            }
+        }
+        _ => {
+            let a = NodeId::from_index(rng.gen_range(0..n));
+            let b = NodeId::from_index(rng.gen_range(0..n));
+            if a != b {
+                let w = random_weight(rng);
+                g.add_edge(a, b, w).unwrap();
+            }
+        }
+    }
+}
+
+#[test]
+fn a_lane_reused_across_mutations_of_one_graph_matches_a_fresh_one() {
+    // The rip-up pattern: one lane, one graph, a new view (with new
+    // hidden nodes, discounts and tilt) after every mutation. Rows an
+    // earlier view packed must never be served again.
+    for case in 0..CASES / 4 {
+        let mut rng = SplitMix64::seed_from_u64(0xb0b ^ case);
+        let mut base = random_graph(&mut rng);
+        let mut reused = LiveLane::new();
+        for step in 0..12 {
+            let rules = Rules::random(&base, &mut rng);
+            let model = rules.apply_to_clone(&base);
+            let context = format!("case {case} step {step}");
+            let view = LaneView::new(&base, &mut reused, rules.lane_rules());
+            read_random_rows(&view, &model, &mut rng, &context);
+            let mut fresh = LiveLane::new();
+            let fresh_view = LaneView::new(&base, &mut fresh, rules.lane_rules());
+            assert_same_view(&view, &fresh_view, &context);
+            assert_same_view(&view, &model, &context);
+            mutate(&mut base, &mut rng);
+        }
+    }
+}
+
+#[test]
+fn one_view_packs_at_most_twice_the_live_edges() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::seed_from_u64(0xc0c ^ seed);
+        let base = random_graph(&mut rng);
+        // No hidden nodes half the time, so the rows fill the bound
+        // whenever no edge lost an endpoint.
+        let rules = if seed % 2 == 0 {
+            Rules::random(&base, &mut rng)
+        } else {
+            Rules {
+                hidden: Vec::new(),
+                discount: Vec::new(),
+                tilt: None,
+            }
+        };
+        let mut lane = LiveLane::new();
+        let view = LaneView::new(&base, &mut lane, rules.lane_rules());
+        let mut order: Vec<NodeId> = (0..=base.node_count()).map(NodeId::from_index).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        // Every row, twice: a re-read packs nothing.
+        let packed: usize = order.iter().map(|&v| view.neighbors(v).count()).sum();
+        let again: usize = order.iter().map(|&v| view.neighbors(v).count()).sum();
+        assert_eq!(packed, again, "seed {seed}");
+        assert!(
+            packed <= 2 * base.live_edge_count(),
+            "seed {seed}: {packed} entries over 2 × {} live edges",
+            base.live_edge_count()
+        );
+        if rules.hidden.is_empty() {
+            let usable = base.edge_ids().count();
+            assert_eq!(
+                packed,
+                2 * usable,
+                "seed {seed}: each usable edge sits in two rows"
+            );
+        }
     }
 }

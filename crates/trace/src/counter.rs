@@ -69,11 +69,14 @@ pub enum Counter {
     /// Pushes onto the kernel's lazy-deletion heap across all queries:
     /// the source plus each strictly improving relaxation.
     HeapPushes,
+    /// Adjacency rows a per-net `LaneView` packed on their first read
+    /// (each view packs a row at most once).
+    LaneRowsPacked,
 }
 
 impl Counter {
     /// Every counter, in declaration order (the dense index order).
-    pub const ALL: [Counter; 22] = [
+    pub const ALL: [Counter; 23] = [
         Counter::DijkstraRuns,
         Counter::DijkstraHeapPops,
         Counter::DijkstraRelaxations,
@@ -96,6 +99,7 @@ impl Counter {
         Counter::PathfinderRepricedEdges,
         Counter::AstarPrunedNodes,
         Counter::HeapPushes,
+        Counter::LaneRowsPacked,
     ];
 
     /// Stable snake_case name used in emitted JSON and summary tables.
@@ -124,6 +128,7 @@ impl Counter {
             Counter::PathfinderRepricedEdges => "pathfinder_repriced_edges",
             Counter::AstarPrunedNodes => "astar_pruned_nodes",
             Counter::HeapPushes => "heap_pushes",
+            Counter::LaneRowsPacked => "lane_rows_packed",
         }
     }
 }

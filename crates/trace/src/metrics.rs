@@ -23,14 +23,13 @@
 pub enum Metric {
     /// Wall-clock of one whole-net route attempt.
     NetRouteNs,
-    /// Wall-clock of one Dijkstra single-source run.
-    DijkstraRunNs,
     /// Wall-clock of committing one routed net into the pass state.
     CommitApplyNs,
     /// Wall-clock of one full PathFinder route-all/reprice iteration.
     PfIterationNs,
     /// Wall-clock of one shortest-path kernel query (including
-    /// scratch-arena `minpath` queries).
+    /// scratch-arena `minpath` queries, and the first-read packing of
+    /// the `LaneView` rows the query reads).
     KernelQueryNs,
     /// Wall-clock of one candidate-pricing round of the iterated Steiner
     /// template: the whole pool priced against one terminal set.
@@ -41,9 +40,8 @@ pub enum Metric {
 
 impl Metric {
     /// Every variant, in declaration (= discriminant) order.
-    pub const ALL: [Metric; 7] = [
+    pub const ALL: [Metric; 6] = [
         Metric::NetRouteNs,
-        Metric::DijkstraRunNs,
         Metric::CommitApplyNs,
         Metric::PfIterationNs,
         Metric::KernelQueryNs,
@@ -56,7 +54,6 @@ impl Metric {
     pub fn name(self) -> &'static str {
         match self {
             Metric::NetRouteNs => "net_route_ns",
-            Metric::DijkstraRunNs => "dijkstra_run_ns",
             Metric::CommitApplyNs => "commit_apply_ns",
             Metric::PfIterationNs => "pf_iteration_ns",
             Metric::KernelQueryNs => "kernel_query_ns",
@@ -486,14 +483,14 @@ mod tests {
         assert!(a.is_empty());
         a.record(Metric::NetRouteNs, 10);
         b.record(Metric::NetRouteNs, 20);
-        b.record(Metric::DijkstraRunNs, 5);
+        b.record(Metric::KernelQueryNs, 5);
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab, ba);
         assert_eq!(ab.get(Metric::NetRouteNs).count(), 2);
-        assert_eq!(ab.get(Metric::DijkstraRunNs).count(), 1);
+        assert_eq!(ab.get(Metric::KernelQueryNs).count(), 1);
         assert_eq!(ab.get(Metric::CommitApplyNs).count(), 0);
         assert_eq!(ab.iter_nonzero().count(), 2);
     }
