@@ -198,4 +198,25 @@ if [ "$kernel_gate_ok" -ne 1 ]; then
     exit 1
 fi
 
+echo "==> Tables 2 and 3 pin: 2PIN / IKMB width totals (release binaries)"
+# EXPERIMENTS.md reports these Totals rows: the 2PIN contender (DJKA
+# under rip-up) against IKMB, 43 / 34 on Table 2 and 84 / 72 on Table 3
+# (about 20 s and 15 s). A change that moves any of these widths fails
+# here instead of leaving the paper's headline comparison stale.
+cargo build --release -p experiments --bin table2 --bin table3
+tables_out="$(mktemp -d /tmp/fpga_tables.XXXXXX)"
+trap 'rm -f "$trace_file" "$bad_file" "$pf_trace" "$sel_trace" "$idom_trace" "$fresh_bench" "$fresh_kernel"; rm -rf "$tables_out"' EXIT
+require_totals() {
+    local out totals
+    out="$(EXPERIMENTS_OUT="$tables_out" "./target/release/$1")"
+    sed '/^telemetry summary/,$d' <<< "$out"
+    totals="$(awk -F'|' '$1 ~ /^ *Totals *$/ { gsub(/ /, ""); print $4 " / " $5 }' <<< "$out")"
+    if [ "$totals" != "$2" ]; then
+        echo "$1: Totals read '${totals:-missing}', expected '$2' (EXPERIMENTS.md)" >&2
+        exit 1
+    fi
+}
+require_totals table2 "43 / 34"
+require_totals table3 "84 / 72"
+
 echo "==> ci.sh: all green"

@@ -56,8 +56,6 @@ pub struct IteratedConfig {
     pub batched: bool,
     /// Candidate pool strategy.
     pub pool: CandidatePool,
-    /// Optional hard cap on the number of accepted Steiner points.
-    pub max_steiner_points: Option<usize>,
     /// Rank candidates with the base's cheap
     /// [`screen_round`](crate::IteratedBase::screen_round) upper bounds and
     /// spend full evaluations only on the most promising ones.
@@ -76,7 +74,6 @@ impl Default for IteratedConfig {
         IteratedConfig {
             batched: true,
             pool: CandidatePool::All,
-            max_steiner_points: None,
             screened: false,
             screen_patience: 8,
         }
@@ -222,13 +219,6 @@ impl<H: IteratedBaseInfo> Iterated<H> {
             let first_accepted = steiner_points.len();
             let mut misses = 0usize;
             for &(_, t) in &scored {
-                if self
-                    .config
-                    .max_steiner_points
-                    .is_some_and(|cap| steiner_points.len() >= cap)
-                {
-                    break;
-                }
                 // Re-verify against the (possibly grown) set with the exact
                 // cost; the scores were computed before earlier acceptances
                 // this round (and, in screened mode, are only upper bounds).
@@ -252,13 +242,6 @@ impl<H: IteratedBaseInfo> Iterated<H> {
             }
             let accepted = &steiner_points[first_accepted..];
             if accepted.is_empty() {
-                break;
-            }
-            if self
-                .config
-                .max_steiner_points
-                .is_some_and(|cap| steiner_points.len() >= cap)
-            {
                 break;
             }
             pool.retain(|v| !accepted.contains(v));
@@ -416,22 +399,6 @@ mod tests {
         );
         let t = one_at_a_time.construct(grid.graph(), &net).unwrap();
         assert_eq!(t.cost(), Weight::from_units(8));
-    }
-
-    #[test]
-    fn max_steiner_points_cap_is_respected() {
-        let (grid, net) = plus_instance();
-        let capped = Iterated::with_config(
-            Kmb::new(),
-            IteratedConfig {
-                max_steiner_points: Some(0),
-                ..IteratedConfig::default()
-            },
-        );
-        let outcome = capped.construct_traced(grid.graph(), &net).unwrap();
-        assert!(outcome.steiner_points.is_empty());
-        let kmb = Kmb::new().construct(grid.graph(), &net).unwrap();
-        assert_eq!(outcome.tree.cost(), kmb.cost());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! **Table 2** — minimum channel width on Xilinx 3000-series parts
 //! (`F_s = 6`, `F_c = ⌈0.6W⌉`): the CGE router versus our router (IKMB).
 //!
-//! CGE is closed-source; the two-pin-decomposition baseline stands in for
-//! it (see `DESIGN.md`). The paper's published widths are printed alongside
+//! CGE is closed-source; the 2PIN contender (DJKA under rip-up, each sink
+//! routed along its shortest path from the source) stands in for it (see
+//! `DESIGN.md`). The paper's published widths are printed alongside
 //! for shape comparison: CGE needed on average 22% more channel width than
 //! the paper's router.
 

@@ -1,7 +1,7 @@
 //! **Table 3** — minimum channel width on Xilinx 4000-series parts
 //! (`F_s = 3`, `F_c = W`): SEGA and GBP versus our router (IKMB).
 //!
-//! SEGA and GBP are closed-source; the two-pin-decomposition baseline
+//! SEGA and GBP are closed-source; the 2PIN contender (DJKA under rip-up)
 //! stands in for both. Published widths printed alongside: SEGA and GBP
 //! needed on average 26% and 17% more channel width than the paper's
 //! router.

@@ -17,14 +17,15 @@
 //! * [`Router`] — the paper's router: whole-net Steiner/arborescence
 //!   constructions, congestion-updated weights, resource removal for
 //!   electrical disjointness, move-to-front ordering, pass budget. Rip-up
-//!   routes one net at a time, exactly as the paper does;
+//!   routes one net at a time, exactly as the paper does. With
+//!   [`RouteAlgorithm::Djka`] under rip-up it is also the two-pin
+//!   stand-in for CGE/SEGA/GBP: each sink's path is its shortest path
+//!   from the source, as a per-sink maze router would find it;
 //! * [`pathfinder`] — negotiated congestion (`RouterConfig::mode`):
 //!   route every net each iteration against an immutable priced
 //!   snapshot, then reprice under present + history costs. The route
 //!   phase splits across `RouterConfig::threads` workers and stays
 //!   bit-identical across thread counts;
-//! * [`BaselineRouter`] — the two-pin-decomposition stand-in for
-//!   CGE/SEGA/GBP;
 //! * [`width`] — minimum channel-width search, guided by the peak channel
 //!   occupancy of its first routed probe;
 //! * [`viz`] — ASCII/SVG renderings (paper Figure 16).
@@ -50,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod arch;
-pub mod baseline;
 pub mod classify;
 pub mod device;
 mod error;
@@ -64,7 +64,6 @@ pub mod viz;
 pub mod width;
 
 pub use arch::{ArchSpec, FcSpec, Side};
-pub use baseline::{BaselineConfig, BaselineRouter};
 pub use device::{Device, EdgeKind, NodeKind};
 pub use error::FpgaError;
 pub use netlist::{BlockPin, Circuit, CircuitNet};

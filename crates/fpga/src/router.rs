@@ -10,6 +10,13 @@
 //! less than five) such passes are required"; after `max_passes` (the
 //! paper's feasibility threshold is 20) the circuit is declared unroutable
 //! at this channel width.
+//!
+//! The same rip-up loop with [`RouteAlgorithm::Djka`] is the experiments'
+//! two-pin ("2PIN") stand-in for CGE/SEGA/GBP. A per-sink maze router
+//! runs Dijkstra from the source to each sink over the same view; every
+//! such run pops a prefix of the full run with the same canonical
+//! parents, so its paths are the source's shortest-path-tree paths and
+//! their union is DJKA's pruned tree.
 
 use route_graph::{Graph, GraphError, GraphView, LaneRules, LaneView, LiveLane, NodeId, Weight};
 use steiner_route::{
@@ -837,12 +844,14 @@ mod tests {
     fn routed_nets_are_electrically_disjoint() {
         let circuit = small_circuit();
         let device = Device::new(ArchSpec::xilinx4000(3, 3, 5)).unwrap();
-        let router = Router::new(&device, RouterConfig::default());
-        let outcome = router.route(&circuit).unwrap();
-        let mut seen = std::collections::HashSet::new();
-        for tree in &outcome.trees {
-            for v in tree.nodes() {
-                assert!(seen.insert(v), "resource {v} shared between nets");
+        for algo in RouteAlgorithm::table1_roster() {
+            let router = Router::new(&device, RouterConfig::with_algorithm(algo));
+            let outcome = router.route(&circuit).unwrap();
+            let mut seen = std::collections::HashSet::new();
+            for tree in &outcome.trees {
+                for v in tree.nodes() {
+                    assert!(seen.insert(v), "{}: resource {v} shared between nets", algo.label());
+                }
             }
         }
     }
@@ -851,13 +860,59 @@ mod tests {
     fn each_tree_spans_its_net() {
         let circuit = small_circuit();
         let device = Device::new(ArchSpec::xilinx4000(3, 3, 5)).unwrap();
-        let router = Router::new(&device, RouterConfig::default());
-        let outcome = router.route(&circuit).unwrap();
-        for (ni, tree) in outcome.trees.iter().enumerate() {
-            let terminals = circuit.net_terminals(&device, ni).unwrap();
-            let net = Net::from_terminals(terminals).unwrap();
-            assert!(tree.spans(&net), "net {ni}");
+        for algo in RouteAlgorithm::table1_roster() {
+            let router = Router::new(&device, RouterConfig::with_algorithm(algo));
+            let outcome = router.route(&circuit).unwrap();
+            for (ni, tree) in outcome.trees.iter().enumerate() {
+                let terminals = circuit.net_terminals(&device, ni).unwrap();
+                let net = Net::from_terminals(terminals).unwrap();
+                assert!(tree.spans(&net), "{}: net {ni}", algo.label());
+            }
         }
+    }
+
+    #[test]
+    fn two_pin_djka_uses_no_less_wire_than_ikmb() {
+        // One 5-pin fan-out net plus two 2-pin nets on a 3×3 array. DJKA
+        // routes each sink along its shortest path from the source (the
+        // 2PIN stand-in for CGE/SEGA/GBP); IKMB shares wire between sinks.
+        let circuit = Circuit::new(
+            "fanout",
+            3,
+            3,
+            vec![
+                CircuitNet {
+                    pins: vec![
+                        pin(1, 1, Side::North, 0),
+                        pin(0, 0, Side::East, 0),
+                        pin(0, 2, Side::West, 0),
+                        pin(2, 0, Side::East, 0),
+                        pin(2, 2, Side::West, 0),
+                    ],
+                },
+                CircuitNet {
+                    pins: vec![pin(0, 1, Side::South, 1), pin(2, 1, Side::North, 1)],
+                },
+                CircuitNet {
+                    pins: vec![pin(1, 0, Side::South, 1), pin(1, 2, Side::South, 1)],
+                },
+            ],
+        )
+        .unwrap();
+        let device = Device::new(ArchSpec::xilinx4000(3, 3, 8)).unwrap();
+        let route = |algo| {
+            Router::new(&device, RouterConfig::with_algorithm(algo))
+                .route(&circuit)
+                .unwrap()
+        };
+        let djka = route(RouteAlgorithm::Djka);
+        let ikmb = route(RouteAlgorithm::Ikmb);
+        assert!(
+            djka.total_wirelength >= ikmb.total_wirelength,
+            "DJKA {} vs IKMB {}",
+            djka.total_wirelength,
+            ikmb.total_wirelength
+        );
     }
 
     /// Four crossing nets that cannot all fit through a 1-track 2×2

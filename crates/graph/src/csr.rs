@@ -292,18 +292,6 @@ impl<G: GraphView> GraphView for LaneView<'_, G> {
         self.base.edge_count()
     }
 
-    /// Counts the hidden live nodes on demand: `O(rules.hidden.len())`.
-    fn live_node_count(&self) -> usize {
-        let hidden_live = self
-            .rules
-            .hidden
-            .iter()
-            .enumerate()
-            .filter(|&(i, &hidden)| hidden && self.base.is_node_live(NodeId::from_index(i)))
-            .count();
-        self.base.live_node_count().saturating_sub(hidden_live)
-    }
-
     fn live_edge_count(&self) -> usize {
         self.base.live_edge_count()
     }
@@ -379,7 +367,6 @@ mod tests {
     fn assert_same_surface<G: GraphView>(view: &LaneView<'_, G>, model: &Graph) {
         assert_eq!(view.node_count(), model.node_count());
         assert_eq!(view.edge_count(), model.edge_count());
-        assert_eq!(view.live_node_count(), model.live_node_count());
         assert_eq!(view.live_edge_count(), model.live_edge_count());
         assert_eq!(
             view.node_ids().collect::<Vec<_>>(),

@@ -4,17 +4,15 @@
 //! This is the paper's §5 headline experiment in miniature: synthesize the
 //! `9symml` profile (79 nets on an 11×10 array), find the smallest channel
 //! width at which the IKMB-based router completes it, compare with the
-//! two-pin-decomposition baseline (the structural stand-in for SEGA/GBP),
-//! and print the routed chip as ASCII occupancy art.
+//! two-pin stand-in for SEGA/GBP (DJKA: every sink along its shortest path
+//! from the source), and print the routed chip as ASCII occupancy art.
 //!
 //! Run with: `cargo run --release --example chip_route`
 
 use fpga_route::fpga::synth::{synthesize, xc4000_profiles};
 use fpga_route::fpga::viz::render_ascii_occupancy;
 use fpga_route::fpga::width::{minimum_channel_width, WidthSearch};
-use fpga_route::fpga::{
-    ArchSpec, BaselineConfig, BaselineRouter, Device, Router, RouterConfig,
-};
+use fpga_route::fpga::{ArchSpec, Device, RouteAlgorithm, Router, RouterConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let profile = xc4000_profiles()
@@ -43,17 +41,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ours.channel_width, ours.attempts, ours.outcome.passes
     );
 
-    let baseline = minimum_channel_width(base, 4..=20, WidthSearch::Binary, |device| {
-        BaselineRouter::new(device, BaselineConfig::default()).route(&circuit)
+    let two_pin = minimum_channel_width(base, 4..=20, WidthSearch::Binary, |device| {
+        Router::new(device, RouterConfig::with_algorithm(RouteAlgorithm::Djka)).route(&circuit)
     })?;
     println!(
-        "two-pin baseline:  minimum channel width {} (+{:.0}% vs ours)",
-        baseline.channel_width,
-        (baseline.channel_width as f64 / ours.channel_width as f64 - 1.0) * 100.0
+        "two-pin (DJKA):    minimum channel width {} (+{:.0}% vs ours)",
+        two_pin.channel_width,
+        (two_pin.channel_width as f64 / ours.channel_width as f64 - 1.0) * 100.0
     );
     println!(
-        "wirelength: ours {} vs baseline {} at their respective widths",
-        ours.outcome.total_wirelength, baseline.outcome.total_wirelength
+        "wirelength: ours {} vs two-pin {} at their respective widths",
+        ours.outcome.total_wirelength, two_pin.outcome.total_wirelength
     );
 
     let device = Device::new(base.with_channel_width(ours.channel_width))?;

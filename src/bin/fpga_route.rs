@@ -7,7 +7,7 @@
 //!                  [--mode ripup] [--pf-iterations 50] [--pf-selective]
 //!                  [--svg out.svg] [--trace out.jsonl] [--metrics]
 //! fpga-route width --circuit term1 --arch 4000 [--min 3] [--max 24]
-//!                  [--algorithm ikmb] [--baseline] [--threads 0]
+//!                  [--algorithm ikmb] [--threads 0]
 //!                  [--mode ripup] [--pf-iterations 50] [--pf-selective]
 //!                  [--trace out.jsonl] [--metrics]
 //! fpga-route net --rows 20 --cols 20 --pins 5 [--algorithm idom] [--seed 7]
@@ -24,10 +24,7 @@ use std::process::ExitCode;
 
 use fpga_route::fpga::synth::{synthesize, xc3000_profiles, xc4000_profiles, CircuitProfile};
 use fpga_route::fpga::width::{minimum_channel_width, WidthSearch};
-use fpga_route::fpga::{
-    viz, ArchSpec, BaselineConfig, BaselineRouter, Device, RouteAlgorithm, RouteMode, Router,
-    RouterConfig,
-};
+use fpga_route::fpga::{viz, ArchSpec, Device, RouteAlgorithm, RouteMode, Router, RouterConfig};
 use fpga_route::graph::{GridGraph, Weight};
 use fpga_route::steiner::metrics::{measure, optimal_max_pathlength};
 use fpga_route::steiner::{
@@ -56,8 +53,7 @@ usage:
                    [--pf-iterations <n>] [--pf-selective]
                    [--svg <file>] [--trace <file>] [--stream] [--metrics]
   fpga-route width --circuit <name> --arch <3000|4000>
-                   [--min <W>] [--max <W>] [--algorithm <name>] [--baseline]
-                   [--threads <n>]
+                   [--min <W>] [--max <W>] [--algorithm <name>] [--threads <n>]
                    [--mode <ripup|pathfinder>] [--pf-iterations <n>]
                    [--pf-selective] [--trace <file>] [--stream] [--metrics]
   fpga-route net   --rows <n> --cols <n> --pins <n> [--algorithm <name>] [--seed <n>]
@@ -80,10 +76,11 @@ usage:
 --stream: append trace lines live as spans close (requires --trace, JSONL only)
 --threshold: bench-diff regression gate in percent on *_us fields (default 5)
 --warn-only: report bench-diff regressions without failing the exit code
-algorithms: kmb zel ikmb izel djka dom pfa idom";
+algorithms: kmb zel ikmb izel djka dom pfa idom
+            (djka under ripup is the two-pin \"2PIN\" contender of Tables 2-3)";
 
 /// A flag a command accepts: name and whether it consumes a value
-/// (`false` marks boolean presence flags like `--baseline`).
+/// (`false` marks boolean presence flags like `--metrics`).
 type FlagSpec = &'static [(&'static str, bool)];
 
 const PROFILES_FLAGS: FlagSpec = &[];
@@ -111,7 +108,6 @@ const WIDTH_FLAGS: FlagSpec = &[
     ("algorithm", true),
     ("seed", true),
     ("passes", true),
-    ("baseline", false),
     ("threads", true),
     ("mode", true),
     ("pf-iterations", true),
@@ -429,37 +425,25 @@ fn cmd_width(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     let threads = get_usize(flags, "threads", Some(1))?;
     let circuit = synthesize(&profile, 2, seed)?;
     let base = arch_for(flags, &profile, min)?;
-    let use_baseline = flags.contains_key("baseline");
     let algo = algorithm(flags)?;
     let route_mode = mode(flags)?;
     let defaults = RouterConfig::default();
     let pf_max_iterations = get_usize(flags, "pf-iterations", Some(defaults.pf_max_iterations))?;
     let pf_selective = flags.contains_key("pf-selective");
     let route = |device: &Device| {
-        if use_baseline {
-            BaselineRouter::new(
-                device,
-                BaselineConfig {
-                    max_passes: passes,
-                    ..BaselineConfig::default()
-                },
-            )
-            .route(&circuit)
-        } else {
-            Router::new(
-                device,
-                RouterConfig {
-                    algorithm: algo,
-                    max_passes: passes,
-                    threads,
-                    mode: route_mode,
-                    pf_max_iterations,
-                    pf_selective,
-                    ..RouterConfig::default()
-                },
-            )
-            .route(&circuit)
-        }
+        Router::new(
+            device,
+            RouterConfig {
+                algorithm: algo,
+                max_passes: passes,
+                threads,
+                mode: route_mode,
+                pf_max_iterations,
+                pf_selective,
+                ..RouterConfig::default()
+            },
+        )
+        .route(&circuit)
     };
     let collector = maybe_collector(flags)?;
     let found = minimum_channel_width(base, min..=max, WidthSearch::Binary, route)?;
@@ -468,7 +452,7 @@ fn cmd_width(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         &format!(
             "{name}: minimum channel width {} with {} ({} routing attempts, wirelength {})\n",
             found.channel_width,
-            if use_baseline { "2PIN baseline" } else { algo.label() },
+            algo.label(),
             found.attempts,
             found.outcome.total_wirelength
         ),
@@ -661,7 +645,7 @@ mod tests {
                 "term1".into(),
                 "--min".into(),
                 "9".into(),
-                "--baseline".into(),
+                "--pf-selective".into(),
             ],
             "width",
             WIDTH_FLAGS,
@@ -669,7 +653,7 @@ mod tests {
         .unwrap();
         assert_eq!(parsed.get("circuit").unwrap(), "term1");
         assert_eq!(parsed.get("min").unwrap(), "9");
-        assert_eq!(parsed.get("baseline").unwrap(), "true");
+        assert_eq!(parsed.get("pf-selective").unwrap(), "true");
     }
 
     #[test]

@@ -3,10 +3,7 @@
 
 use fpga_route::fpga::synth::{synthesize, CircuitProfile};
 use fpga_route::fpga::width::{minimum_channel_width, WidthSearch};
-use fpga_route::fpga::{
-    ArchSpec, BaselineConfig, BaselineRouter, Device, FpgaError, RouteAlgorithm, Router,
-    RouterConfig,
-};
+use fpga_route::fpga::{ArchSpec, Device, FpgaError, RouteAlgorithm, Router, RouterConfig};
 use fpga_route::steiner::Net;
 
 fn test_profile() -> CircuitProfile {
@@ -109,12 +106,15 @@ fn steiner_router_needs_no_more_width_than_the_baseline() {
         .route(&circuit)
     })
     .unwrap();
+    // The two-pin stand-in: every sink along its shortest path from the
+    // source (DJKA under rip-up).
     let baseline = minimum_channel_width(base, 3..=16, WidthSearch::Binary, |device| {
-        BaselineRouter::new(
+        Router::new(
             device,
-            BaselineConfig {
+            RouterConfig {
+                algorithm: RouteAlgorithm::Djka,
                 max_passes: 6,
-                ..BaselineConfig::default()
+                ..RouterConfig::default()
             },
         )
         .route(&circuit)
